@@ -31,6 +31,7 @@ __all__ = [
     "is_sparse",
     "matvec",
     "matvec_transpose",
+    "transposed",
     "lu_factor",
     "lu_solve",
     "norm2",
@@ -92,6 +93,18 @@ def matvec_transpose(A, x: np.ndarray) -> np.ndarray:
     """Product ``A.T @ x`` without forming the transpose densely."""
     _check_shapes(A, x, A.shape[0], "matvec_transpose")
     return A.T @ x
+
+
+def transposed(A):
+    """``A.T`` built once for repeated products.
+
+    Sparse input gives a CSR copy.  scipy builds ``A.T`` as a new CSC
+    matrix object on every access, which at desk scale costs more than the
+    product itself; the CSR copy sums each output entry's terms in the same
+    order as that CSC product, so the products are bit-identical.  Dense
+    input gives the free ``A.T`` view.
+    """
+    return A.T.tocsr() if is_sparse(A) else A.T
 
 
 @dataclass(frozen=True)
@@ -163,6 +176,7 @@ def matrix_norm2_estimate(A, tol: float = 1e-10, max_iter: int = 200_000) -> flo
     if A.ndim != 2:
         raise ValueError("matrix_norm2_estimate: expected a 2-D matrix")
     n = A.shape[1]
+    AT = transposed(A)
     v = _start_vector(n)
     sigma_prev = -np.inf
     for _ in range(max_iter):
@@ -170,7 +184,7 @@ def matrix_norm2_estimate(A, tol: float = 1e-10, max_iter: int = 200_000) -> flo
         sigma = float(np.linalg.norm(w))
         if sigma == 0.0:
             return 0.0
-        z = A.T @ w
+        z = AT @ w
         nz = float(np.linalg.norm(z))
         if nz == 0.0:
             return sigma

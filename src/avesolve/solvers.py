@@ -9,7 +9,7 @@ Seven methods behind one report type:
 * ``drs_inexact``: same step, but ``x^{k+1}`` only has to satisfy
   ``||Theta_k(x^{k+1})|| <= alpha_k ||e(x^k)||`` with ``Theta_k`` the affine
   subproblem map; the subproblem is solved matrix-free by warm-started LSQR
-  whose stopping predicate enforces exactly that bound.
+  whose residual target enforces exactly that bound.
 * ``newton_exact``: generalized Newton step
   ``[A - diag(sign(x^k))] x^{k+1} = b``, refactored every iteration.
 * ``newton_inexact``: the same linear system solved by LSQR up to
@@ -49,6 +49,7 @@ from .linalg import (
     sigma_min_estimate,
     sign_diag,
     to_dense,
+    transposed,
 )
 from .lsqr import LsqrOptions, MatOperator, as_operator, lsqr_solve
 
@@ -285,7 +286,14 @@ def _solve_to_criterion(
     op_norm_hint: float = 0.0,
 ):
     """Warm-started LSQR runs until ``accepts`` passes on the returned
-    candidate, tightening the predicate target by half between attempts.
+    candidate, halving the residual target between attempts.
+
+    Each LSQR run stops at the first iterate whose true residual
+    ``||rhs - op x||`` is at most the current target.  LSQR recomputes that
+    residual (one extra matvec) only on iterations where its recurrence
+    estimate ``phibar`` is at most twice the target; ``phibar`` tracks the
+    true residual far closer than that factor, so the skipped iterations
+    are ones that could not have stopped.
 
     A candidate whose true residual has reached the roundoff scale of the
     system, ``16 eps (||op|| ||x|| + ||rhs||)``, is accepted even when the
@@ -307,7 +315,7 @@ def _solve_to_criterion(
             rhs,
             x0=x_warm,
             opts=opts,
-            predicate=lambda x, rn, t=target: rn <= t,
+            target=target,
             keep_trace=False,
         )
         inner_total += res.iterations
@@ -479,6 +487,7 @@ def newton_inexact(
 
     def make_step():
         max_inner = cfg.inner_max_iter if cfg.inner_max_iter is not None else 10 * p.n
+        AT = transposed(p.A)
         state: dict = {}
 
         def jac_norm() -> float:
@@ -492,7 +501,7 @@ def newton_inexact(
             op = MatOperator(
                 p.A.shape,
                 lambda v: p.A @ v - s * v,
-                lambda v: p.A.T @ v - s * v,
+                lambda v: AT @ v - s * v,
             )
             bound = theta * en
 

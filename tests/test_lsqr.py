@@ -4,7 +4,7 @@ import pytest
 import scipy.sparse as sp
 
 from avesolve.linalg import norm2
-from avesolve.lsqr import LsqrOptions, LsqrStop, as_operator, lsqr_solve
+from avesolve.lsqr import LsqrOptions, LsqrStop, MatOperator, as_operator, lsqr_solve
 
 
 def conditioned_system(rng, n, cond):
@@ -13,6 +13,22 @@ def conditioned_system(rng, n, cond):
     q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
     s = np.geomspace(cond, 1.0, n)
     return q1 @ np.diag(s) @ q2.T
+
+
+def counting_operator(A):
+    """``as_operator(A)`` behind a wrapper that counts products."""
+    inner = as_operator(A)
+    counts = {"matvec": 0, "rmatvec": 0}
+
+    def mv(v):
+        counts["matvec"] += 1
+        return inner.matvec(v)
+
+    def rmv(v):
+        counts["rmatvec"] += 1
+        return inner.rmatvec(v)
+
+    return MatOperator(inner.shape, mv, rmv), counts
 
 
 class TestBasicSolves:
@@ -116,34 +132,98 @@ class TestStopping:
         assert res.stop_reason is LsqrStop.BREAKDOWN
         npt.assert_array_equal(res.solution, [0.0, 0.0])
 
-    def test_predicate_early_stop(self):
+    def test_target_early_stop(self):
         rng = np.random.default_rng(9)
         A = conditioned_system(rng, 50, 500.0)
         rhs = rng.standard_normal(50)
         target = 0.1 * norm2(rhs)
-        seen = []
 
-        def predicate(x, rn):
-            seen.append(rn)
-            return norm2(A @ x - rhs) <= target
-
-        res = lsqr_solve(A, rhs, opts=LsqrOptions(atol=0.0, btol=1e-14), predicate=predicate)
+        res = lsqr_solve(A, rhs, opts=LsqrOptions(atol=0.0, btol=1e-14), target=target)
         assert res.stop_reason is LsqrStop.RESIDUAL_TOL
-        assert norm2(A @ res.solution - rhs) <= target
+        true = norm2(A @ res.solution - rhs)
+        assert true <= target
+        assert res.residual_norm == true
         tight = lsqr_solve(A, rhs, opts=LsqrOptions(atol=0.0, btol=1e-12))
         assert res.iterations < tight.iterations
 
-    def test_predicate_sees_true_residual(self):
+    def test_target_stop_reports_true_residual(self):
+        # One target per LSQR estimate of a plain run, so the target stops
+        # spread over that run's iterations (its last is left out: the plain
+        # run's btol rule stopped there).
         rng = np.random.default_rng(10)
         A = conditioned_system(rng, 30, 200.0)
         rhs = rng.standard_normal(30)
+        opts = LsqrOptions(atol=0.0, btol=1e-12)
+        plain = lsqr_solve(A, rhs, opts=opts)
+        stops = set()
+        for _, phibar in plain.trace[:-1]:
+            res = lsqr_solve(A, rhs, opts=opts, target=phibar)
+            assert res.stop_reason is LsqrStop.RESIDUAL_TOL
+            true = norm2(A @ res.solution - rhs)
+            assert abs(res.residual_norm - true) <= 1e-10 * (1.0 + norm2(rhs))
+            assert true <= phibar
+            stops.add(res.iterations)
+        assert len(stops) > plain.iterations // 2
 
-        def predicate(x, rn):
-            assert abs(rn - norm2(A @ x - rhs)) <= 1e-10 * (1.0 + norm2(rhs))
-            return False
+    def test_target_stop_is_first_iterate_below_target(self):
+        rng = np.random.default_rng(13)
+        A = conditioned_system(rng, 40, 1e2)
+        rhs = rng.standard_normal(40)
+        x0 = rng.standard_normal(40)
+        opts = LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=500)
+        target = 1e-6 * norm2(rhs)
+        res = lsqr_solve(A, rhs, x0=x0, opts=opts, target=target)
+        assert res.stop_reason is LsqrStop.RESIDUAL_TOL
+        assert norm2(rhs - A @ res.solution) <= target
+        assert res.iterations > 1
+        for k in range(1, res.iterations):
+            early = lsqr_solve(
+                A, rhs, x0=x0, opts=LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=k)
+            )
+            assert early.iterations == k
+            assert norm2(rhs - A @ early.solution) > target
 
-        res = lsqr_solve(A, rhs, opts=LsqrOptions(atol=0.0, btol=1e-12), predicate=predicate)
-        assert res.stop_reason in (LsqrStop.RESIDUAL_TOL, LsqrStop.MAX_ITER)
+
+class TestProductCounts:
+    @pytest.mark.parametrize("fmt", ["csr", "dense"])
+    def test_as_operator_products_bit_equal(self, fmt):
+        rng = np.random.default_rng(14)
+        A = sp.random(80, 80, density=0.1, format="csr", random_state=rng) + sp.eye(80)
+        A = A.tocsr()
+        if fmt == "dense":
+            A = A.toarray()
+        op = as_operator(A)
+        for _ in range(3):
+            v = rng.standard_normal(80)
+            npt.assert_array_equal(op.rmatvec(v), A.T @ v)
+            npt.assert_array_equal(op.matvec(v), A @ v)
+
+    def test_one_product_each_way_per_iteration(self):
+        rng = np.random.default_rng(15)
+        A = conditioned_system(rng, 40, 1e3)
+        rhs = rng.standard_normal(40)
+        op, counts = counting_operator(A)
+        res = lsqr_solve(op, rhs, opts=LsqrOptions(atol=0.0, btol=1e-12))
+        assert res.iterations > 10
+        assert counts == {"matvec": res.iterations, "rmatvec": res.iterations + 1}
+
+        op, counts = counting_operator(A)
+        x0 = rng.standard_normal(40)
+        res = lsqr_solve(op, rhs, x0=x0, opts=LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=25))
+        assert res.stop_reason is LsqrStop.MAX_ITER
+        assert counts == {"matvec": 26, "rmatvec": 26}
+
+    def test_target_checks_true_residual_only_near_target(self):
+        rng = np.random.default_rng(16)
+        A = conditioned_system(rng, 60, 1e3)
+        rhs = rng.standard_normal(60)
+        op, counts = counting_operator(A)
+        target = 1e-8 * norm2(rhs)
+        res = lsqr_solve(op, rhs, opts=LsqrOptions(atol=0.0, btol=0.0), target=target)
+        assert res.stop_reason is LsqrStop.RESIDUAL_TOL
+        assert res.iterations > 10
+        assert counts["rmatvec"] == res.iterations + 1
+        assert counts["matvec"] < 2 * res.iterations
 
 
 class TestOperatorAndOptions:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import numpy.testing as npt
@@ -254,6 +255,50 @@ class TestDrsInexact:
         rep = drs_inexact(p, SolverConfig(), x0=gen_x0(200, seed=1003))
         assert rep.status is SolveStatus.CONVERGED
         assert rep.final_residual_norm <= 1e-8
+
+
+# Seeded n=60 solves from x0 = gen_x0(60, 1) with the default config:
+# (solver, sigma_min target, margin, iterations, inner iteration history,
+# SHA-256 of the final iterate's bytes).  Recorded from the LSQR that
+# recomputed the true residual on every inner iteration; pinned so that
+# skipping that recomputation while the recurrence estimate is far above
+# the target never moves an inner stop.
+PINNED_INEXACT_RUNS = [
+    (
+        drs_inexact, 3.5, 0.05, 23,
+        [0, 1, 2, 3, 6, 11, 14, 19, 29, 46, 43, 44, 30, 42, 33, 63, 33, 61, 51,
+         65, 35, 65, 62, 65],
+        "c7beeaa8501758c0102ab46636ab46c3ca7e2bf0489ef080ea29d660b3259f27",
+    ),
+    (
+        drs_inexact, 1.0, 0.0, 25,
+        [0, 1, 2, 3, 6, 11, 14, 19, 27, 45, 9, 41, 45, 55, 58, 58, 63, 29, 64,
+         43, 64, 61, 65, 65, 61, 41],
+        "f8348c6c9d300ccad22866c6c8a232d882864870d8baf7eca60a0c9a4467ab33",
+    ),
+    (
+        newton_inexact, 3.5, 0.05, 5,
+        [0, 50, 75, 76, 74, 76],
+        "b196b7e7655cf61a3ea5c601bba0ba32c15c471411c48db7265d16c35221fc21",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "solver, sigma, margin, iterations, inner_history, x_digest",
+    PINNED_INEXACT_RUNS,
+    ids=["drs-sigma3.5", "drs-sigma1-margin0", "newton-sigma3.5"],
+)
+def test_inexact_iterates_pinned(solver, sigma, margin, iterations, inner_history, x_digest):
+    p = gen_random_sparse(
+        GeneratorSpec(family="random", n=60, sigma_min_target=sigma, margin=margin, seed=0)
+    )
+    xs = []
+    rep = solver(p, SolverConfig(), x0=gen_x0(60, 1), callback=lambda k, x: xs.append(x.copy()))
+    assert rep.status is SolveStatus.CONVERGED
+    assert rep.iterations == iterations
+    assert rep.inner_iteration_history == inner_history
+    assert hashlib.sha256(xs[-1].tobytes()).hexdigest() == x_digest
 
 
 class TestNewton:
