@@ -43,12 +43,12 @@ from .linalg import (
     SingularMatrixError,
     is_sparse,
     lu_factor,
+    lu_operand,
     lu_solve,
     matrix_norm2_estimate,
     norm2,
     sigma_min_estimate,
     sign_diag,
-    to_dense,
     transposed,
 )
 from .lsqr import LsqrOptions, MatOperator, as_operator, lsqr_solve
@@ -423,19 +423,19 @@ def newton_exact(
     x0: np.ndarray | None = None,
     callback: Callback | None = None,
 ) -> SolveReport:
-    """Generalized Newton iteration ``[A - diag(sign(x^k))] x^{k+1} = b``."""
+    """Generalized Newton iteration ``[A - diag(sign(x^k))] x^{k+1} = b``.
+
+    Banded sparse ``A`` is refactored in band storage, O(n bandwidth) per
+    step; any other ``A`` is widened once and copied for each dense LU.
+    """
     if x0 is None:
         raise ValueError("newton_exact: x0 is required")
 
     def make_step():
-        A_dense = to_dense(p.A)
-        idx = np.arange(p.n)
+        A = lu_operand(p.A)
 
         def step(x, k, e, en):
-            M = A_dense.copy(order="F")
-            M[idx, idx] -= sign_diag(x)
-            factors = lu_factor(M)
-            return lu_solve(factors, p.b), 0
+            return lu_solve(lu_factor(A, shift=sign_diag(x)), p.b), 0
 
         return step
 

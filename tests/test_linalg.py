@@ -4,9 +4,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from avesolve.generators import GeneratorSpec, gen_random_sparse
 from avesolve.linalg import (
     NoConvergenceError,
     SingularMatrixError,
+    band_layout,
     lu_factor,
     lu_solve,
     matrix_norm2_estimate,
@@ -97,7 +99,7 @@ class TestLu:
         x = lu_solve(lu_factor(A), b)
         assert norm2(A @ x - b) <= 1e-10 * (1.0 + norm2(b))
 
-    def test_sparse_input_widened(self):
+    def test_sparse_banded_input(self):
         A = tridiag(40)
         b = np.ones(40)
         x = lu_solve(lu_factor(A), b)
@@ -114,6 +116,115 @@ class TestLu:
     def test_not_square(self):
         with pytest.raises(ValueError, match="square"):
             lu_factor(np.ones((2, 3)))
+
+
+def random_band(n, offsets, seed, fmt="csr"):
+    """Random entries on the given diagonals (uniform on (1, 2) in
+    magnitude, random sign); no entries elsewhere."""
+    rng = np.random.default_rng(seed)
+    diags = [
+        rng.choice([-1.0, 1.0], n - abs(k)) * rng.uniform(1.0, 2.0, n - abs(k))
+        for k in offsets
+    ]
+    return sp.diags(diags, offsets=offsets, shape=(n, n), format=fmt)
+
+
+class TestBandedLu:
+    def test_tridiag_uses_band_layout(self):
+        A = tridiag(40)
+        assert band_layout(A) == (1, 1)
+        f = lu_factor(A)
+        assert f.band == (1, 1)
+        assert f.lu.shape == (4, 40)
+
+    def test_dense_and_random_fill_use_dense_layout(self):
+        assert band_layout(tridiag(40).toarray()) is None
+        assert lu_factor(tridiag(40).toarray()).band is None
+        p = gen_random_sparse(
+            GeneratorSpec(family="random", n=100, sigma_min_target=3.5, seed=0)
+        )
+        assert band_layout(p.A) is None
+        f = lu_factor(p.A)
+        assert f.band is None
+        assert f.lu.shape == (100, 100)
+
+    def test_layout_rule_is_storage_size(self):
+        # kl = 2, ku = 3: band storage has 2*2 + 3 + 1 = 8 rows.
+        offsets = [-2, -1, 0, 1, 2, 3]
+        assert band_layout(random_band(9, offsets, seed=0)) == (2, 3)
+        assert band_layout(random_band(8, offsets, seed=0)) is None
+
+    def test_empty_rows(self):
+        # Row 0 and row 5 hold no entries; row 7 reaches 3 left, row 2
+        # reaches 2 right.
+        rows = [1, 2, 2, 3, 4, 6, 7, 7, 8, 9, 10, 11]
+        cols = [1, 2, 4, 3, 4, 6, 4, 7, 8, 9, 10, 11]
+        A = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(12, 12))
+        assert band_layout(A) == (3, 2)
+        with pytest.raises(SingularMatrixError, match="pivot"):
+            lu_factor(A)
+        assert band_layout(sp.csr_matrix((12, 12))) == (0, 0)
+        with pytest.raises(SingularMatrixError, match="identically zero"):
+            lu_factor(sp.csr_matrix((12, 12)))
+
+    def test_unsorted_csr_and_csc_agree_with_sorted_csr(self):
+        A = random_band(30, [-3, -1, 0, 2], seed=1)
+        A.sort_indices()
+        # Reverse every row's entries: same matrix, unsorted indices.
+        perm = np.concatenate(
+            [np.arange(A.indptr[i + 1] - 1, A.indptr[i] - 1, -1) for i in range(30)]
+        )
+        U = sp.csr_matrix((A.data[perm], A.indices[perm], A.indptr), shape=A.shape)
+        assert not U.has_sorted_indices
+        b = np.linspace(-1.0, 1.0, 30)
+        x = lu_solve(lu_factor(A), b)
+        for B in (U, A.tocsc()):
+            assert band_layout(B) == band_layout(A) == (3, 2)
+            npt.assert_array_equal(lu_solve(lu_factor(B), b), x)
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_solve_with_row_swaps(self, seed, transpose):
+        # A zero main diagonal forces a row swap at every step.
+        n = 50
+        A = random_band(n, [-2, -1, 1, 2, 3], seed=seed)
+        f = lu_factor(A)
+        assert f.band == (2, 3)
+        assert np.any(f.piv != np.arange(n))
+        b = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        Ad = A.toarray()
+        expected = np.linalg.solve(Ad.T if transpose else Ad, b)
+        x = lu_solve(f, b, transpose=transpose)
+        npt.assert_allclose(x, expected, rtol=1e-10, atol=1e-10 * norm2(expected))
+
+    @pytest.mark.parametrize("banded", [True, False])
+    def test_shift_matches_shifted_matrix(self, banded):
+        n = 40
+        A = random_band(n, [-1, 0, 1, 4], seed=5)
+        if not banded:
+            A = A.toarray()
+        before = A.copy()
+        s = np.sign(np.sin(np.arange(n, dtype=np.float64)))
+        f = lu_factor(A, shift=s)
+        g = lu_factor(A - sp.diags(s) if banded else A - np.diag(s))
+        assert f.band == g.band == ((1, 4) if banded else None)
+        npt.assert_array_equal(f.lu, g.lu)
+        npt.assert_array_equal(f.piv, g.piv)
+        b = np.ones(n)
+        npt.assert_array_equal(lu_solve(f, b), lu_solve(g, b))
+        # The shift is applied to the factored copy, never to A.
+        npt.assert_array_equal(A.toarray() if banded else A,
+                               before.toarray() if banded else before)
+
+    def test_singular_banded_raises(self):
+        # Rows 3 and 4 are equal.
+        A = tridiag(20).tolil()
+        A[3, 2:6] = [0.0, 1.0, 1.0, 0.0]
+        A[4, 2:6] = [0.0, 1.0, 1.0, 0.0]
+        A = A.tocsr()
+        assert band_layout(A) == (1, 1)
+        with pytest.raises(SingularMatrixError, match="pivot"):
+            lu_factor(A)
 
 
 class TestNormEstimate:

@@ -13,7 +13,7 @@ from avesolve.generators import (
     gen_tridiag8,
     gen_x0,
 )
-from avesolve.linalg import SingularMatrixError, norm2
+from avesolve.linalg import SingularMatrixError, band_layout, lu_factor, norm2
 from avesolve.lsqr import as_operator
 from avesolve.solvers import (
     InnerSolverStallError,
@@ -299,6 +299,46 @@ def test_inexact_iterates_pinned(solver, sigma, margin, iterations, inner_histor
     assert rep.iterations == iterations
     assert rep.inner_iteration_history == inner_history
     assert hashlib.sha256(xs[-1].tobytes()).hexdigest() == x_digest
+
+
+# Seeded n=60 solves on gen_random_sparse (sigma_min target 3.5, margin
+# 0.05, seed 0) from x0 = gen_x0(60, 1) with the default config:
+# (solver, iterations, SHA-256 of the final iterate's bytes).  At 10 % fill
+# the LU stays in dense storage; recorded before banded sparse matrices got
+# their own storage, so that choice may not move a dense factorization.
+PINNED_DENSE_LU_RUNS = [
+    (drs_exact, 9, "30f844bf686f9e265c39dfc7026bcd263a2961b02fe92bbd64614b924a742d42"),
+    (sor_like, 15, "64f3755b5216ce8b1e82ee4da42ca0e57035c10f2de56a4c29752157ec19e6e1"),
+    (newton_exact, 3, "430c251bcc9fba432f8544465de142e8850051628ad7381f2ca298afda98f166"),
+]
+
+
+@pytest.mark.parametrize(
+    "solver, iterations, x_digest", PINNED_DENSE_LU_RUNS, ids=["drs", "sor-like", "newton"]
+)
+def test_dense_lu_iterates_pinned(solver, iterations, x_digest):
+    p = gen_random_sparse(
+        GeneratorSpec(family="random", n=60, sigma_min_target=3.5, margin=0.05, seed=0)
+    )
+    xs = []
+    rep = solver(p, SolverConfig(), x0=gen_x0(60, 1), callback=lambda k, x: xs.append(x.copy()))
+    assert rep.status is SolveStatus.CONVERGED
+    assert rep.iterations == iterations
+    assert hashlib.sha256(xs[-1].tobytes()).hexdigest() == x_digest
+
+
+def test_tridiag_direct_solves_in_linear_memory():
+    # Dense storage of this matrix would take 80 GB, so the layout is
+    # checked before anything is factored.
+    n = 100_000
+    p = gen_tridiag8(n)
+    assert band_layout(p.A) == (1, 1)
+    assert lu_factor(p.A).lu.nbytes <= 4 * 8 * n
+    x0 = gen_x0(n, seed=0)
+    for method in ("drs", "sor-like", "newton"):
+        rep = run_solver(method, p, SolverConfig(), x0=x0)
+        assert rep.status is SolveStatus.CONVERGED, method
+        assert rep.final_residual_norm <= 1e-8
 
 
 class TestNewton:
