@@ -1,9 +1,10 @@
 """Performance profiles on a random sparse batch.
 
 Generates seeded random sparse problems, runs a set of solvers on the
-shared grid, and writes the ratio table, profile curves and a summary to
-an output directory.  Efficiency is the curve value at ratio 1 and
-robustness the converged share; both are printed per solver.
+shared grid, and writes the same files as ``avesolve profile``: the ratio
+table, profile curves, a summary and the run manifest.  Efficiency is the
+curve value at ratio 1 and robustness the converged share; both are
+printed per solver.
 
 Usage::
 
@@ -11,7 +12,6 @@ Usage::
 """
 
 import argparse
-import os
 
 from avesolve import (
     GeneratorSpec,
@@ -19,16 +19,13 @@ from avesolve import (
 )
 from avesolve.bench import (
     bench_config,
-    efficiency_robustness,
-    emit_csv,
-    performance_ratios,
-    profile_curves,
+    default_tau_grid,
     run_bench,
-    write_bench_manifest,
+    write_grid_outputs,
 )
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--problems", type=int, default=20)
     ap.add_argument("--n", type=int, default=200)
@@ -43,7 +40,7 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="profile_out")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     problems = {}
     for i in range(args.problems):
@@ -59,21 +56,9 @@ def main() -> None:
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     cfg = bench_config()
     records = run_bench(problems, solvers, cfg, repeats=args.repeats, seed=args.seed)
-    table = performance_ratios(records, measure=args.measure)
-    curves = profile_curves(table)
-    summary = efficiency_robustness(table)
-
-    os.makedirs(args.out, exist_ok=True)
-    emit_csv(table, os.path.join(args.out, "ratios.csv"))
-    emit_csv(curves, os.path.join(args.out, "curves.csv"))
-    write_bench_manifest(
-        os.path.join(args.out, "bench_manifest.json"),
-        problems,
-        solvers,
-        cfg,
-        repeats=args.repeats,
-        measure=args.measure,
-        seed=args.seed,
+    table, summary = write_grid_outputs(
+        args.out, records, problems, solvers, cfg, args.repeats, args.measure, args.seed,
+        tau_grid=default_tau_grid(),
     )
 
     print(f"{len(problems)} problems x {len(solvers)} solvers "
@@ -81,7 +66,7 @@ def main() -> None:
     print(f"{'solver':<22s} {'efficiency %':>12s} {'robustness %':>12s}")
     for sid, (eff, rob) in summary.items():
         print(f"{sid:<22s} {eff:12.1f} {rob:12.1f}")
-    print(f"wrote ratios.csv, curves.csv, bench_manifest.json to {args.out}/")
+    print(f"wrote ratios.csv, curves.csv, summary.csv, bench_manifest.json to {args.out}/")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,6 +49,7 @@ __all__ = [
     "emit_csv",
     "read_ratios_csv",
     "write_bench_manifest",
+    "write_grid_outputs",
 ]
 
 # Ratio assigned to failed cells; also the saturation ceiling for ratios.
@@ -343,21 +345,8 @@ def write_bench_manifest(
     seed: int,
 ) -> None:
     """Record what a bench run consisted of, for reproduction."""
-    cfg_dict = {
-        "gamma": cfg.gamma,
-        "delta": cfg.delta,
-        "epsilon": cfg.epsilon,
-        "max_iter": cfg.max_iter,
-        "omega": cfg.omega,
-        "theta": cfg.theta,
-        "nu": cfg.nu,
-        "alpha_mode": cfg.alpha_mode,
-        "k_max": cfg.k_max,
-        "mu": cfg.mu,
-        "divergence_threshold": cfg.divergence_threshold,
-        "inner_max_iter": cfg.inner_max_iter,
-        "G": "identity" if cfg.G.is_identity else "diagonal",
-    }
+    cfg_dict = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    cfg_dict["G"] = "identity" if cfg.G.is_identity else "diagonal"
     manifest = {
         "problems": {pid: int(p.n) for pid, p in problems.items()},
         "solvers": list(solvers),
@@ -367,5 +356,42 @@ def write_bench_manifest(
         "seed": seed,
     }
     with open(path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+        # NumPy scalars that SolverConfig accepts are written as Python numbers.
+        json.dump(manifest, f, indent=2, sort_keys=True, default=lambda v: v.item())
         f.write("\n")
+
+
+def write_grid_outputs(
+    out_dir,
+    records: list[BenchRecord],
+    problems: dict[str, AveProblem],
+    solvers: list[str],
+    cfg: SolverConfig,
+    repeats: int,
+    measure: str,
+    seed: int,
+    r_max: float = R_MAX_DEFAULT,
+    tau_grid: np.ndarray | None = None,
+) -> tuple[ProfileTable, dict[str, tuple[float, float]]]:
+    """Write a grid's outputs to ``out_dir`` (created if missing).
+
+    Files: ``ratios.csv``, ``summary.csv`` (efficiency and robustness per
+    solver), ``bench_manifest.json`` and, when ``tau_grid`` is given,
+    ``curves.csv``.  Returns the ratio table and the summary.
+    """
+    table = performance_ratios(records, r_max=r_max, measure=measure)
+    os.makedirs(out_dir, exist_ok=True)
+    write_bench_manifest(
+        os.path.join(out_dir, "bench_manifest.json"),
+        problems, solvers, cfg, repeats, measure, seed,
+    )
+    emit_csv(table, os.path.join(out_dir, "ratios.csv"))
+    if tau_grid is not None:
+        emit_csv(profile_curves(table, tau_grid), os.path.join(out_dir, "curves.csv"))
+    summary = efficiency_robustness(table)
+    with open(os.path.join(out_dir, "summary.csv"), "w") as f:
+        f.write("solver,efficiency_percent,robustness_percent\n")
+        for sid in table.solver_ids:
+            eff, rob = summary[sid]
+            f.write(f"{sid},{eff:.17g},{rob:.17g}\n")
+    return table, summary

@@ -17,10 +17,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import bench as bench_mod
 from .core import GMatrix, check_solvability
 from .generators import (
+    FAMILIES,
+    NOSOL1D,
     GeneratorFailure,
     GeneratorSpec,
     build_manifest,
@@ -53,75 +56,51 @@ _STATUS_EXIT = {
     SolveStatus.SINGULAR_SYSTEM: EXIT_SINGULAR,
 }
 
-_CONFIG_KEYS = (
-    "gamma",
-    "delta",
-    "epsilon",
-    "max_iter",
-    "omega",
-    "theta",
-    "nu",
-    "alpha_mode",
-    "k_max",
-    "mu",
-    "divergence_threshold",
-    "inner_max_iter",
-)
+# SolverConfig fields with one flag and one --config key each; G comes from --g-diag.
+_CONFIG_FIELDS = tuple(f.name for f in fields(SolverConfig) if f.name != "G")
 
 
 def _add_config_flags(sub: argparse.ArgumentParser, max_iter_default: int) -> None:
+    d = SolverConfig()
     g = sub.add_argument_group("solver configuration")
-    g.add_argument("--gamma", type=float, default=1.98, help="relaxation step length in (0, 2)")
-    g.add_argument("--delta", type=float, default=0.5, help="theoretical-schedule slack in (0, 1)")
-    g.add_argument("--eps", dest="epsilon", type=float, default=1e-8, help="residual stopping tolerance")
+    g.add_argument("--gamma", type=float, default=d.gamma, help="relaxation step length in (0, 2)")
+    g.add_argument("--delta", type=float, default=d.delta, help="theoretical-schedule slack in (0, 1)")
+    g.add_argument("--eps", dest="epsilon", type=float, default=d.epsilon, help="residual stopping tolerance")
     g.add_argument("--max-iter", type=int, default=max_iter_default, help="outer iteration cap")
-    g.add_argument("--omega", type=float, default=0.9, help="relaxation weight of sor-like")
-    g.add_argument("--theta", type=float, default=None, help="inexact-Newton bound; omit to derive it")
-    g.add_argument("--nu", type=float, default=0.5, help="fixed-point step length in (0, 1)")
-    g.add_argument("--alpha-mode", choices=("heuristic", "theoretical"), default="heuristic", help="inexactness schedule of inexact-drs")
-    g.add_argument("--k-max", type=int, default=10, help="heuristic schedule: last iteration with full budget")
-    g.add_argument("--mu", type=float, default=None, help="error-bound constant of the theoretical schedule")
-    g.add_argument("--divergence-threshold", type=float, default=1e8, help="iterate norm declared divergent")
-    g.add_argument("--inner-max-iter", type=int, default=None, help="LSQR iteration cap (default 10 n)")
+    g.add_argument("--omega", type=float, default=d.omega, help="relaxation weight of sor-like")
+    g.add_argument("--theta", type=float, default=d.theta, help="inexact-Newton bound; omit to derive it")
+    g.add_argument("--nu", type=float, default=d.nu, help="fixed-point step length in (0, 1)")
+    g.add_argument("--alpha-mode", choices=("heuristic", "theoretical"), default=d.alpha_mode, help="inexactness schedule of inexact-drs")
+    g.add_argument("--k-max", type=int, default=d.k_max, help="heuristic schedule: last iteration with full budget")
+    g.add_argument("--mu", type=float, default=d.mu, help="error-bound constant of the theoretical schedule")
+    g.add_argument("--divergence-threshold", type=float, default=d.divergence_threshold, help="iterate norm declared divergent")
+    g.add_argument("--inner-max-iter", type=int, default=d.inner_max_iter, help="LSQR iteration cap (default 10 n)")
     g.add_argument("--g-diag", metavar="FILE", default=None, help="metric diagonal, one entry per line (default identity)")
     sub.add_argument("--config", metavar="JSON", default=None, help="JSON file whose entries override these flags")
 
 
 def _config_from_args(args) -> SolverConfig:
-    values = {
-        "gamma": args.gamma,
-        "delta": args.delta,
-        "epsilon": args.epsilon,
-        "max_iter": args.max_iter,
-        "omega": args.omega,
-        "theta": args.theta,
-        "nu": args.nu,
-        "alpha_mode": args.alpha_mode,
-        "k_max": args.k_max,
-        "mu": args.mu,
-        "divergence_threshold": args.divergence_threshold,
-        "inner_max_iter": args.inner_max_iter,
-    }
-    g_diag = args.g_diag
+    values = {name: getattr(args, name) for name in _CONFIG_FIELDS}
+    values["g_diag"] = args.g_diag
     if args.config is not None:
         with open(args.config) as f:
             overrides = json.load(f)
         if not isinstance(overrides, dict):
             raise ValueError(f"{args.config}: config file must hold a JSON object")
-        for key, val in overrides.items():
-            if key == "g_diag":
-                g_diag = val
-            elif key in _CONFIG_KEYS:
-                values[key] = val
-            else:
+        for key in overrides:
+            if key not in values:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
+        values.update(overrides)
+    g_diag = values.pop("g_diag")
     if g_diag is not None:
+        if not isinstance(g_diag, str):
+            raise ValueError(f"{args.config}: g_diag must be a file path, got {g_diag!r}")
         values["G"] = GMatrix.diagonal(read_vector(g_diag))
     return SolverConfig(**values)
 
 
 def _cmd_generate(args) -> int:
-    if args.family in ("tridiag8", "random") and args.n is None:
+    if args.family != NOSOL1D and args.n is None:
         raise ValueError(f"generate: --family {args.family} requires --n")
     spec = GeneratorSpec(
         family=args.family,
@@ -185,35 +164,18 @@ def _load_problem_set(paths) -> dict:
     return problems
 
 
-def _run_grid(args, want_curves: bool) -> int:
+def _run_grid(args) -> int:
     problems = _load_problem_set(args.problems)
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     for s in solvers:
         Method(s)
     cfg = _config_from_args(args)
     records = bench_mod.run_bench(problems, solvers, cfg, repeats=args.repeats, seed=args.seed)
-    table = bench_mod.performance_ratios(records, r_max=args.r_max, measure=args.measure)
-    os.makedirs(args.out, exist_ok=True)
-    bench_mod.write_bench_manifest(
-        os.path.join(args.out, "bench_manifest.json"),
-        problems,
-        solvers,
-        cfg,
-        args.repeats,
-        args.measure,
-        args.seed,
+    tau_grid = bench_mod.default_tau_grid(args.r_max, log=args.log_tau) if args.want_curves else None
+    table, summary = bench_mod.write_grid_outputs(
+        args.out, records, problems, solvers, cfg, args.repeats, args.measure, args.seed,
+        r_max=args.r_max, tau_grid=tau_grid,
     )
-    bench_mod.emit_csv(table, os.path.join(args.out, "ratios.csv"))
-    if want_curves:
-        grid = bench_mod.default_tau_grid(args.r_max, log=args.log_tau)
-        curves = bench_mod.profile_curves(table, grid)
-        bench_mod.emit_csv(curves, os.path.join(args.out, "curves.csv"))
-    summary = bench_mod.efficiency_robustness(table)
-    with open(os.path.join(args.out, "summary.csv"), "w") as f:
-        f.write("solver,efficiency_percent,robustness_percent\n")
-        for sid in table.solver_ids:
-            eff, rob = summary[sid]
-            f.write(f"{sid},{eff:.17g},{rob:.17g}\n")
     print(f"{'solver':<22} {'efficiency %':>12} {'robustness %':>12}")
     for sid in table.solver_ids:
         eff, rob = summary[sid]
@@ -230,13 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
+    spec = {f.name: f.default for f in fields(GeneratorSpec)}
     p_gen = sub.add_parser("generate", formatter_class=fmt, help="write a problem bundle")
-    p_gen.add_argument("--family", choices=("tridiag8", "random", "nosol1d"), required=True)
+    p_gen.add_argument("--family", choices=FAMILIES, required=True)
     p_gen.add_argument("--n", type=int, default=None, help="problem size (tridiag8, random)")
-    p_gen.add_argument("--density", type=float, default=0.1, help="off-diagonal fill probability (random)")
-    p_gen.add_argument("--sigma-min", type=float, default=1.05, help="smallest-singular-value target (random)")
-    p_gen.add_argument("--margin", type=float, default=0.05, help="fractional slack above the target (random)")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--density", type=float, default=spec["density"], help="off-diagonal fill probability (random)")
+    p_gen.add_argument("--sigma-min", type=float, default=spec["sigma_min_target"], help="smallest-singular-value target (random)")
+    p_gen.add_argument("--margin", type=float, default=spec["margin"], help="fractional slack above the target (random)")
+    p_gen.add_argument("--seed", type=int, default=spec["seed"])
     p_gen.add_argument("--out", required=True, help="bundle directory to create")
     p_gen.set_defaults(fn=_cmd_generate)
 
@@ -278,8 +241,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.fn is _run_grid:
-            return _run_grid(args, args.want_curves)
         return args.fn(args)
     except (FileFormatError, FileNotFoundError, GeneratorFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

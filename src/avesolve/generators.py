@@ -46,9 +46,14 @@ __all__ = [
     "load_problem",
     "read_manifest",
     "MANIFEST_NAME",
+    "FAMILIES",
 ]
 
 MANIFEST_NAME = "manifest.json"
+
+# Problem families a GeneratorSpec can name; all but NOSOL1D take a size n.
+FAMILIES = ("tridiag8", "random", "nosol1d")
+TRIDIAG8, RANDOM, NOSOL1D = FAMILIES
 
 # Redraws allowed before the sparse generator gives up on a seed.
 MAX_REDRAWS = 10
@@ -62,10 +67,10 @@ class GeneratorFailure(Exception):
 class GeneratorSpec:
     """Declarative description of a generated problem family.
 
-    ``family`` is one of ``"tridiag8"``, ``"random"``, ``"nosol1d"``; the
-    remaining fields apply to the families that read them.  ``margin``
-    lifts the smallest singular value ``margin`` fractionally above
-    ``sigma_min_target`` so the target is met with slack.
+    ``family`` is one of :data:`FAMILIES`; the remaining fields apply to
+    the families that read them.  ``margin`` lifts the smallest singular
+    value ``margin`` fractionally above ``sigma_min_target`` so the target
+    is met with slack.
     """
 
     family: str
@@ -76,11 +81,11 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.family not in ("tridiag8", "random", "nosol1d"):
+        if self.family not in FAMILIES:
             raise ValueError(f"GeneratorSpec: unknown family {self.family!r}")
-        if self.family in ("tridiag8", "random") and self.n < 1:
+        if self.family != NOSOL1D and self.n < 1:
             raise ValueError(f"GeneratorSpec: family {self.family!r} needs n >= 1")
-        if self.family == "random":
+        if self.family == RANDOM:
             if not 0.0 < self.density <= 1.0:
                 raise ValueError("GeneratorSpec: density must be in (0, 1]")
             if self.sigma_min_target <= 0.0:
@@ -127,7 +132,7 @@ def gen_random_sparse(spec: GeneratorSpec) -> AveProblem:
     singular draws are redrawn up to ``MAX_REDRAWS`` times before
     :class:`GeneratorFailure`.
     """
-    if spec.family != "random":
+    if spec.family != RANDOM:
         raise ValueError(f"gen_random_sparse: spec has family {spec.family!r}")
     n = spec.n
     pattern_rng = _stream(spec.seed, 0)
@@ -175,9 +180,9 @@ def gen_x0(n: int, seed: int) -> np.ndarray:
 
 def generate(spec: GeneratorSpec) -> AveProblem:
     """Build the problem described by ``spec``."""
-    if spec.family == "tridiag8":
+    if spec.family == TRIDIAG8:
         return gen_tridiag8(spec.n)
-    if spec.family == "random":
+    if spec.family == RANDOM:
         return gen_random_sparse(spec)
     return gen_no_solution_1d()
 
@@ -200,12 +205,13 @@ def build_manifest(p: AveProblem, spec: GeneratorSpec | None = None) -> dict:
         sigma_achieved = sigma_min_estimate(p.A, tol=1e-6)
     except (SingularMatrixError, NoConvergenceError):
         sigma_achieved = 0.0
+    random_spec = spec is not None and spec.family == RANDOM
     return {
         "family": spec.family if spec is not None else "custom",
         "n": p.n,
-        "density_requested": spec.density if spec is not None and spec.family == "random" else None,
+        "density_requested": spec.density if random_spec else None,
         "density_achieved": achieved_density(p.A),
-        "sigma_min_target": spec.sigma_min_target if spec is not None and spec.family == "random" else None,
+        "sigma_min_target": spec.sigma_min_target if random_spec else None,
         "sigma_min_achieved": sigma_achieved,
         "seed": spec.seed if spec is not None else None,
     }

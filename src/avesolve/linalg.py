@@ -34,12 +34,9 @@ __all__ = [
     "SingularMatrixError",
     "NoConvergenceError",
     "LuFactors",
-    "as_vector",
     "band_layout",
     "to_dense",
     "is_sparse",
-    "matvec",
-    "matvec_transpose",
     "transposed",
     "lu_operand",
     "lu_factor",
@@ -66,12 +63,6 @@ def is_sparse(A) -> bool:
     return sp.issparse(A)
 
 
-def as_vector(x) -> np.ndarray:
-    """Copy ``x`` into a contiguous 1-D float64 array."""
-    v = np.array(x, dtype=np.float64, copy=True).reshape(-1)
-    return np.ascontiguousarray(v)
-
-
 def to_dense(A) -> np.ndarray:
     """Return ``A`` as a column-major float64 array (always a copy)."""
     if is_sparse(A):
@@ -81,28 +72,6 @@ def to_dense(A) -> np.ndarray:
     if d.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={d.ndim}")
     return np.asfortranarray(d, dtype=np.float64)
-
-
-def _check_shapes(A, x: np.ndarray, rows_or_cols: int, what: str) -> None:
-    if x.ndim != 1:
-        raise ValueError(f"{what}: expected a 1-D vector, got ndim={x.ndim}")
-    if x.shape[0] != rows_or_cols:
-        raise ValueError(
-            f"{what}: vector length {x.shape[0]} does not match matrix "
-            f"dimension {rows_or_cols}"
-        )
-
-
-def matvec(A, x: np.ndarray) -> np.ndarray:
-    """Product ``A @ x`` for dense or CSR ``A``."""
-    _check_shapes(A, x, A.shape[1], "matvec")
-    return A @ x
-
-
-def matvec_transpose(A, x: np.ndarray) -> np.ndarray:
-    """Product ``A.T @ x`` without forming the transpose densely."""
-    _check_shapes(A, x, A.shape[0], "matvec_transpose")
-    return A.T @ x
 
 
 def transposed(A):
@@ -243,7 +212,10 @@ def lu_factor(A, shift: np.ndarray | None = None) -> LuFactors:
 
 def lu_solve(factors: LuFactors, b: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Solve ``A x = b`` (or ``A.T x = b``) from LU factors of either layout."""
-    _check_shapes(None, b, factors.n, "lu_solve")
+    if b.shape != (factors.n,):
+        raise ValueError(
+            f"lu_solve: expected a vector of length {factors.n}, got shape {b.shape}"
+        )
     trans = 1 if transpose else 0
     if factors.band is None:
         return scipy.linalg.lu_solve(

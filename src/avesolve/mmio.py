@@ -22,8 +22,6 @@ __all__ = [
     "read_matrix_market",
     "write_vector",
     "read_vector",
-    "write_dense_csv",
-    "read_dense_csv",
 ]
 
 _FMT = "%.17g"
@@ -183,35 +181,3 @@ def read_vector(path) -> np.ndarray:
                 _fail(path, lineno, f"could not parse vector entry {s!r}")
     return np.array(vals, dtype=np.float64)
 
-
-def write_dense_csv(A: np.ndarray, path) -> None:
-    """Write a dense matrix as comma-separated rows."""
-    d = np.asarray(A, dtype=np.float64)
-    if d.ndim != 2:
-        raise ValueError("write_dense_csv: expected a 2-D matrix")
-    with open(path, "w") as f:
-        for i in range(d.shape[0]):
-            f.write(",".join(_FMT % v for v in d[i]) + "\n")
-
-
-def read_dense_csv(path) -> np.ndarray:
-    """Read a dense matrix written by :func:`write_dense_csv`."""
-    rows = []
-    width = None
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            s = raw.strip()
-            if not s or s.startswith("#"):
-                continue
-            parts = s.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                _fail(path, lineno, f"row has {len(parts)} columns, expected {width}")
-            try:
-                rows.append([float(t) for t in parts])
-            except ValueError:
-                _fail(path, lineno, f"could not parse row {s!r}")
-    if not rows:
-        _fail(path, 1, "no rows found")
-    return np.asfortranarray(np.array(rows, dtype=np.float64))

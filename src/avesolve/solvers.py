@@ -19,9 +19,9 @@ Seven methods behind one report type:
   ``x^{k+1} = (1-omega) x^k + omega A^{-1}(y^k + b)``,
   ``y^{k+1} = (1-omega) y^k + omega |x^{k+1}|``.
 * ``fixed_point``: ``x^{k+1} = x^k - nu e(x^k)``, inverse-free.
-* ``fixed_point_inverse``: ``x^{k+1} = x^k - nu A^{-1} e(x^k)``; with
-  ``nu = gamma/2`` and the identity metric this is the same map as
-  ``drs_exact``, and the implementations produce identical iterates.
+* ``fixed_point_inverse``: ``x^{k+1} = x^k - nu A^{-1} e(x^k)``, the
+  ``drs_exact`` map with ``gamma = 2 nu`` and the identity metric; it runs
+  as ``drs_exact``.
 
 Every solver stops when ``||e(x^k)|| <= epsilon``, declares divergence when
 ``||x^k||`` reaches ``divergence_threshold``, and otherwise gives up at
@@ -31,8 +31,10 @@ not an exception, so batch drivers can keep going.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable
 
@@ -128,17 +130,23 @@ class SolverConfig:
     inner_max_iter: int | None = None
 
     def __post_init__(self) -> None:
+        for name, kind, what, optional in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"SolverConfig: {name} must be {what}, got {value!r}")
         if not 0.0 < self.gamma < 2.0:
             raise ValueError(f"SolverConfig: gamma must be in (0, 2), got {self.gamma}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"SolverConfig: delta must be in (0, 1), got {self.delta}")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("SolverConfig: epsilon must be positive")
         if self.max_iter < 0:
             raise ValueError("SolverConfig: max_iter must be nonnegative")
-        if self.omega <= 0.0:
+        if not self.omega > 0.0:
             raise ValueError(f"SolverConfig: omega must be positive, got {self.omega}")
-        if self.theta is not None and self.theta < 0.0:
+        if self.theta is not None and not self.theta >= 0.0:
             raise ValueError("SolverConfig: fixed theta must be nonnegative")
         if not 0.0 < self.nu < 1.0:
             raise ValueError(f"SolverConfig: nu must be in (0, 1), got {self.nu}")
@@ -151,10 +159,21 @@ class SolverConfig:
             raise ValueError("SolverConfig: k_max must be nonnegative")
         if self.mu is not None and not self.mu > 0.0:
             raise ValueError("SolverConfig: mu must be positive")
-        if self.divergence_threshold <= 0.0:
+        if not self.divergence_threshold > 0.0:
             raise ValueError("SolverConfig: divergence_threshold must be positive")
         if self.inner_max_iter is not None and self.inner_max_iter < 1:
             raise ValueError("SolverConfig: inner_max_iter must be positive")
+
+
+# (name, accepted type, its description, None allowed) for each numeric
+# SolverConfig field, read from its annotation; NumPy scalars pass the ABCs.
+_NUMBER_KINDS = {"float": (numbers.Real, "a number"), "int": (numbers.Integral, "an integer")}
+_NUMERIC_FIELDS = tuple(
+    (f.name, *_NUMBER_KINDS[kind], optional == "None")
+    for f in fields(SolverConfig)
+    for kind, _, optional in [f.type.partition(" | ")]
+    if kind in _NUMBER_KINDS
+)
 
 
 @dataclass
@@ -179,7 +198,7 @@ class SolveReport:
 def _drive(
     p: AveProblem,
     cfg: SolverConfig,
-    x0: np.ndarray,
+    x0: np.ndarray | None,
     make_step,
     callback: Callback | None,
 ) -> SolveReport:
@@ -189,6 +208,8 @@ def _drive(
     estimates) and returns ``step(x, k, e, e_norm) -> (x_next, inner_iters)``
     or raises SingularMatrixError, which becomes a report status.
     """
+    if x0 is None:
+        raise ValueError("x0 is required")
     t0 = time.perf_counter()
     x = np.array(x0, dtype=np.float64, copy=True).reshape(-1)
     if x.shape[0] != p.n:
@@ -256,14 +277,13 @@ def drs_exact(
     callback: Callback | None = None,
 ) -> SolveReport:
     """Relaxed splitting iteration with exact linear solves."""
-    if x0 is None:
-        raise ValueError("drs_exact: x0 is required")
 
     def make_step():
         factors = lu_factor(p.A)
 
         def step(x, k, e, en):
-            coef = 0.5 * cfg.gamma * rho(cfg.G, e)
+            # rho is identically 1 under the identity metric (e != 0 here).
+            coef = 0.5 * cfg.gamma if cfg.G.is_identity else 0.5 * cfg.gamma * rho(cfg.G, e)
             return x - coef * lu_solve(factors, cfg.G.apply_inv(e)), 0
 
         return step
@@ -342,46 +362,31 @@ def drs_inexact(
 ) -> SolveReport:
     """Relaxed splitting iteration with LSQR subproblem solves.
 
-    Matrix-free except in theoretical mode with an infinite error-bound
-    constant, where the inexactness budget collapses to zero and the step
-    falls back to the exact LU path.
+    In theoretical mode an infinite error-bound constant ``mu`` leaves a
+    zero inexactness budget at every step; that run delegates to
+    :func:`drs_exact`.
 
     Near convergence on badly scaled problems the step bound
     ``alpha ||e||`` can drop below the roundoff scale of the subproblem;
     such steps are solved to roundoff and accepted, so recomputing the
     bound on them can show a violation at that scale.
     """
-    if x0 is None:
-        raise ValueError("drs_inexact: x0 is required")
     if cfg.alpha_mode == "theoretical" and cfg.mu is None:
         raise ValueError("drs_inexact: theoretical alpha schedule requires mu")
+    if cfg.alpha_mode == "theoretical" and cfg.mu == math.inf:
+        return drs_exact(p, cfg, x0, callback)
 
     def make_step():
         op = as_operator(p.A)
         max_inner = cfg.inner_max_iter if cfg.inner_max_iter is not None else 10 * p.n
-        state: dict = {}
-
-        def atg_norm() -> float:
-            if "atg" not in state:
-                if cfg.G.is_identity:
-                    state["atg"] = matrix_norm2_estimate(p.A, tol=1e-8)
-                elif is_sparse(p.A):
-                    state["atg"] = matrix_norm2_estimate(
-                        p.A.T.multiply(cfg.G.diag).tocsr(), tol=1e-8
-                    )
-                else:
-                    state["atg"] = matrix_norm2_estimate(p.A.T * cfg.G.diag, tol=1e-8)
-            return state["atg"]
-
-        def exact_factors():
-            if "lu" not in state:
-                state["lu"] = lu_factor(p.A)
-            return state["lu"]
-
-        def a_norm() -> float:
-            if "anorm" not in state:
-                state["anorm"] = matrix_norm2_estimate(p.A, tol=1e-6)
-            return state["anorm"]
+        a_norm = matrix_norm2_estimate(p.A, tol=1e-6)
+        if cfg.alpha_mode == "theoretical":
+            if cfg.G.is_identity:
+                atg_norm = matrix_norm2_estimate(p.A, tol=1e-8)
+            elif is_sparse(p.A):
+                atg_norm = matrix_norm2_estimate(p.A.T.multiply(cfg.G.diag).tocsr(), tol=1e-8)
+            else:
+                atg_norm = matrix_norm2_estimate(p.A.T * cfg.G.diag, tol=1e-8)
 
         def step(x, k, e, en):
             rk = rho(cfg.G, e)
@@ -389,15 +394,12 @@ def drs_inexact(
                 alpha = _heuristic_alpha(k, cfg.k_max)
             else:
                 alpha = ((1.0 - cfg.delta) * cfg.gamma * (2.0 - cfg.gamma) * rk) / (
-                    4.0 * cfg.mu * atg_norm()
+                    4.0 * cfg.mu * atg_norm
                     + 2.0 * cfg.gamma * rk
                     + cfg.G.lambda_max
                 )
             coef = 0.5 * cfg.gamma * rk
             z = cfg.G.apply_inv(e)
-            if alpha == 0.0:
-                return x - coef * lu_solve(exact_factors(), z), 0
-
             # Theta_k(y) = 2 (A y - rhs), so the inner criterion
             # ||Theta_k|| <= alpha ||e|| maps to a residual target alpha ||e|| / 2.
             rhs = p.A @ x - coef * z
@@ -408,7 +410,7 @@ def drs_inexact(
 
             sol, inner = _solve_to_criterion(
                 op, rhs, x, 0.5 * bound, accepts, max_inner, "drs_inexact",
-                op_norm_hint=a_norm(),
+                op_norm_hint=a_norm,
             )
             return sol, inner
 
@@ -428,8 +430,6 @@ def newton_exact(
     Banded sparse ``A`` is refactored in band storage, O(n bandwidth) per
     step; any other ``A`` is widened once and copied for each dense LU.
     """
-    if x0 is None:
-        raise ValueError("newton_exact: x0 is required")
 
     def make_step():
         A = lu_operand(p.A)
@@ -479,8 +479,6 @@ def newton_inexact(
     :func:`newton_exact`.  Steps whose bound falls below the roundoff
     scale of the linear system are solved to roundoff and accepted.
     """
-    if x0 is None:
-        raise ValueError("newton_inexact: x0 is required")
     theta = resolve_newton_theta(p, cfg)
     if theta == 0.0:
         return newton_exact(p, cfg, x0, callback)
@@ -488,13 +486,8 @@ def newton_inexact(
     def make_step():
         max_inner = cfg.inner_max_iter if cfg.inner_max_iter is not None else 10 * p.n
         AT = transposed(p.A)
-        state: dict = {}
-
-        def jac_norm() -> float:
-            # ||A - diag(sign(x))|| <= ||A|| + 1, a tight enough scale here
-            if "anorm" not in state:
-                state["anorm"] = matrix_norm2_estimate(p.A, tol=1e-6) + 1.0
-            return state["anorm"]
+        # ||A - diag(sign(x))|| <= ||A|| + 1, a tight enough scale here
+        jac_norm = matrix_norm2_estimate(p.A, tol=1e-6) + 1.0
 
         def step(x, k, e, en):
             s = sign_diag(x)
@@ -510,7 +503,7 @@ def newton_inexact(
 
             sol, inner = _solve_to_criterion(
                 op, p.b, x, bound, accepts, max_inner, "newton_inexact",
-                op_norm_hint=jac_norm(),
+                op_norm_hint=jac_norm,
             )
             return sol, inner
 
@@ -527,8 +520,6 @@ def sor_like(
     callback: Callback | None = None,
 ) -> SolveReport:
     """Two-sequence relaxation iteration; ``y0`` defaults to ``x0``."""
-    if x0 is None:
-        raise ValueError("sor_like: x0 is required")
     y_init = x0 if y0 is None else y0
 
     def make_step():
@@ -555,8 +546,6 @@ def fixed_point(
     callback: Callback | None = None,
 ) -> SolveReport:
     """Inverse-free contraction iteration ``x - nu e(x)``."""
-    if x0 is None:
-        raise ValueError("fixed_point: x0 is required")
 
     def make_step():
         def step(x, k, e, en):
@@ -575,21 +564,10 @@ def fixed_point_inverse(
 ) -> SolveReport:
     """Contraction iteration ``x - nu A^{-1} e(x)`` with one amortized LU.
 
-    With ``nu = gamma/2`` and the identity metric this is the same update
-    as :func:`drs_exact` and produces identical iterates.
+    This is the :func:`drs_exact` update with ``gamma = 2 nu`` and the
+    identity metric, and runs as that.
     """
-    if x0 is None:
-        raise ValueError("fixed_point_inverse: x0 is required")
-
-    def make_step():
-        factors = lu_factor(p.A)
-
-        def step(x, k, e, en):
-            return x - cfg.nu * lu_solve(factors, e), 0
-
-        return step
-
-    return _drive(p, cfg, x0, make_step, callback)
+    return drs_exact(p, replace(cfg, gamma=2.0 * cfg.nu, G=GMatrix.identity()), x0, callback)
 
 
 _DISPATCH = {

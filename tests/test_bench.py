@@ -1,3 +1,7 @@
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -282,3 +286,22 @@ class TestProfileTableValidation:
                 solver_ids=("a", "b"),
                 problem_ids=("p", "q"),
             )
+
+
+def test_profile_demo_writes_grid_outputs(tmp_path, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "profile_demo.py"
+    spec = importlib.util.spec_from_file_location("profile_demo", script)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    out = tmp_path / "demo"
+    demo.main(["--problems", "2", "--n", "20", "--repeats", "1", "--measure", "iterations",
+               "--out", str(out)])
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bench_manifest.json", "curves.csv", "ratios.csv", "summary.csv"
+    ]
+    solvers = ["drs", "inexact-drs", "newton", "sor-like"]
+    assert json.loads((out / "bench_manifest.json").read_text())["solvers"] == solvers
+    header = (out / "summary.csv").read_text().splitlines()
+    assert header[0] == "solver,efficiency_percent,robustness_percent"
+    assert [row.split(",")[0] for row in header[1:]] == solvers
+    assert "efficiency" in capsys.readouterr().out

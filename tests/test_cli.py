@@ -1,12 +1,19 @@
+import argparse
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from avesolve.cli import main
+from avesolve.bench import BENCH_MAX_ITER, write_bench_manifest
+from avesolve.cli import _config_from_args, build_parser, main
 from avesolve.core import AveProblem
-from avesolve.generators import read_manifest, save_problem
+from avesolve.generators import gen_tridiag8, read_manifest, save_problem
+from avesolve.solvers import SolverConfig
+
+# Every SolverConfig field but the metric G has its own flag and JSON key.
+CONFIG_FIELDS = [f.name for f in fields(SolverConfig) if f.name != "G"]
 
 
 @pytest.fixture
@@ -140,6 +147,29 @@ class TestSolve:
         assert code == 1
         assert "stepsize" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"gamma": "1.5"},
+            {"epsilon": "1e-6"},
+            {"max_iter": None},
+            {"g_diag": 5},
+            {"max_iter": 2.5},
+        ],
+        ids=["gamma-string", "epsilon-string", "max_iter-null", "g_diag-int", "max_iter-float"],
+    )
+    def test_config_value_of_wrong_type(self, tridiag_bundle, tmp_path, capsys, overrides):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        code = main(
+            ["solve", "--problem", str(tridiag_bundle), "--method", "drs",
+             "--config", str(cfg)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and next(iter(overrides)) in err
+        assert "Traceback" not in err
+
     def test_g_diag_file(self, tridiag_bundle, tmp_path):
         gfile = tmp_path / "g.txt"
         gfile.write_text("".join(f"{v}\n" for v in np.linspace(0.5, 2.0, 20)))
@@ -229,3 +259,44 @@ def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def _subparser(name):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+# Minimal argument lists that each subcommand parses.
+REQUIRED_ARGS = {
+    "solve": ["--problem", "p", "--method", "drs"],
+    "bench": ["--problems", "p", "--solvers", "drs", "--out", "o"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, max_iter", [("solve", SolverConfig().max_iter), ("bench", BENCH_MAX_ITER)]
+)
+def test_config_flags_follow_solver_config(command, max_iter, tmp_path):
+    defaults = SolverConfig()
+    actions = {a.dest: a for a in _subparser(command)._actions if a.option_strings}
+    for name in CONFIG_FIELDS:
+        assert name in actions, name
+        expected = max_iter if name == "max_iter" else getattr(defaults, name)
+        assert actions[name].default == expected, name
+        # A --config entry with the field's key reaches SolverConfig.
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({name: getattr(defaults, name)}))
+        args = build_parser().parse_args([command, *REQUIRED_ARGS[command], "--config", str(path)])
+        assert getattr(_config_from_args(args), name) == getattr(defaults, name), name
+
+
+def test_bench_manifest_records_every_config_field(tmp_path):
+    cfg = SolverConfig(theta=0.25, inner_max_iter=np.int64(7))
+    path = tmp_path / "bench_manifest.json"
+    write_bench_manifest(path, {"t": gen_tridiag8(4)}, ["drs"], cfg, 1, "iterations", 0)
+    recorded = json.loads(path.read_text())["config"]
+    assert set(recorded) == {f.name for f in fields(SolverConfig)}
+    assert recorded["G"] == "identity"
+    for name in CONFIG_FIELDS:
+        assert recorded[name] == getattr(cfg, name), name

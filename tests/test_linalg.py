@@ -12,12 +12,11 @@ from avesolve.linalg import (
     lu_factor,
     lu_solve,
     matrix_norm2_estimate,
-    matvec,
-    matvec_transpose,
     norm2,
     sigma_min_estimate,
     sign_diag,
     to_dense,
+    transposed,
 )
 
 
@@ -25,26 +24,7 @@ def tridiag(n, lo=-1.0, di=8.0, up=-1.0, fmt="csr"):
     return sp.diags([lo, di, up], offsets=[-1, 0, 1], shape=(n, n), format=fmt)
 
 
-class TestMatvec:
-    def test_tridiag_ones(self):
-        # Hand oracle: rows sum to 8-1, -1+8-1, -1+8.
-        A = tridiag(3)
-        npt.assert_array_equal(matvec(A, np.ones(3)), [7.0, 6.0, 7.0])
-
-    def test_dense(self):
-        A = np.array([[1.0, 2.0], [3.0, 4.0]])
-        npt.assert_array_equal(matvec(A, np.array([1.0, 1.0])), [3.0, 7.0])
-
-    def test_transpose_dense(self):
-        A = np.array([[1.0, 2.0], [3.0, 4.0]])
-        npt.assert_array_equal(matvec_transpose(A, np.array([1.0, 1.0])), [4.0, 6.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="matvec"):
-            matvec(np.eye(3), np.ones(4))
-        with pytest.raises(ValueError, match="matvec_transpose"):
-            matvec_transpose(np.eye(3), np.ones(2))
-
+class TestTransposed:
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), m=st.integers(1, 12))
     def test_adjoint_identity(self, seed, n, m):
@@ -53,24 +33,10 @@ class TestMatvec:
         A = rng.uniform(-1.0, 1.0, (m, n))
         x = rng.uniform(-1.0, 1.0, n)
         y = rng.uniform(-1.0, 1.0, m)
-        lhs = float(matvec(A, x) @ y)
-        rhs = float(x @ matvec_transpose(A, y))
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
-        S = sp.csr_matrix(A)
-        lhs_s = float(matvec(S, x) @ y)
-        rhs_s = float(x @ matvec_transpose(S, y))
-        assert abs(lhs_s - rhs_s) <= 1e-12 * max(1.0, abs(lhs_s), abs(rhs_s))
-
-    @settings(deadline=None, max_examples=40)
-    @given(seed=st.integers(0, 10_000))
-    def test_linearity(self, seed):
-        rng = np.random.default_rng(seed)
-        A = rng.uniform(-1.0, 1.0, (9, 9))
-        x, y = rng.uniform(-1.0, 1.0, 9), rng.uniform(-1.0, 1.0, 9)
-        a, b = rng.uniform(-2.0, 2.0, 2)
-        lhs = matvec(A, a * x + b * y)
-        rhs = a * matvec(A, x) + b * matvec(A, y)
-        npt.assert_allclose(lhs, rhs, rtol=0, atol=1e-12 * max(1.0, norm2(lhs)))
+        for M in (A, sp.csr_matrix(A)):
+            lhs = float((M @ x) @ y)
+            rhs = float(x @ (transposed(M) @ y))
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
 class TestLu:

@@ -5,10 +5,8 @@ import scipy.sparse as sp
 
 from avesolve.mmio import (
     FileFormatError,
-    read_dense_csv,
     read_matrix_market,
     read_vector,
-    write_dense_csv,
     write_matrix_market,
     write_vector,
 )
@@ -120,12 +118,3 @@ class TestVectorRoundTrip:
         with pytest.raises(FileFormatError, match=r"b\.txt:2"):
             read_vector(path)
 
-
-def test_dense_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    M = rng.standard_normal((4, 6))
-    M[0, :5] = AWKWARD
-    path = tmp_path / "m.csv"
-    write_dense_csv(M, path)
-    back = read_dense_csv(path)
-    npt.assert_array_equal(back, M)

@@ -65,11 +65,28 @@ class TestConfigValidation:
             {"mu": -2.0},
             {"divergence_threshold": 0.0},
             {"inner_max_iter": 0},
+            {"gamma": "1.5"},
+            {"gamma": True},
+            {"epsilon": "1e-6"},
+            {"mu": [1.0]},
+            {"max_iter": None},
+            {"max_iter": 2.5},
+            {"k_max": 3.0},
+            {"inner_max_iter": False},
+            {"epsilon": float("nan")},
+            {"omega": float("nan")},
+            {"theta": float("nan")},
+            {"mu": float("nan")},
+            {"divergence_threshold": float("nan")},
         ],
     )
     def test_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             SolverConfig(**kwargs)
+
+    def test_accepts_numpy_scalars_and_int_floats(self):
+        cfg = SolverConfig(gamma=np.float64(1.5), max_iter=np.int64(7), mu=2, k_max=np.int32(3))
+        assert (cfg.gamma, cfg.max_iter, cfg.mu, cfg.k_max) == (1.5, 7, 2, 3)
 
     def test_defaults_valid(self):
         cfg = SolverConfig()
@@ -306,15 +323,20 @@ def test_inexact_iterates_pinned(solver, sigma, margin, iterations, inner_histor
 # (solver, iterations, SHA-256 of the final iterate's bytes).  At 10 % fill
 # the LU stays in dense storage; recorded before banded sparse matrices got
 # their own storage, so that choice may not move a dense factorization.
+# fixed_point_inverse was recorded while it had a step function of its own,
+# before it ran as drs_exact with gamma = 2 nu.
 PINNED_DENSE_LU_RUNS = [
     (drs_exact, 9, "30f844bf686f9e265c39dfc7026bcd263a2961b02fe92bbd64614b924a742d42"),
     (sor_like, 15, "64f3755b5216ce8b1e82ee4da42ca0e57035c10f2de56a4c29752157ec19e6e1"),
     (newton_exact, 3, "430c251bcc9fba432f8544465de142e8850051628ad7381f2ca298afda98f166"),
+    (fixed_point_inverse, 44, "d8d134eb89f60968d96c8cec4e59537b540897e18aecce58b8099e16d50448f9"),
 ]
 
 
 @pytest.mark.parametrize(
-    "solver, iterations, x_digest", PINNED_DENSE_LU_RUNS, ids=["drs", "sor-like", "newton"]
+    "solver, iterations, x_digest",
+    PINNED_DENSE_LU_RUNS,
+    ids=["drs", "sor-like", "newton", "fixed-point-inverse"],
 )
 def test_dense_lu_iterates_pinned(solver, iterations, x_digest):
     p = gen_random_sparse(
