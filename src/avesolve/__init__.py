@@ -27,7 +27,6 @@ from .generators import (
     save_problem,
 )
 from .linalg import (
-    NoConvergenceError,
     SingularMatrixError,
     lu_factor,
     lu_solve,

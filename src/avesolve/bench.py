@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import AveProblem
 from .generators import gen_x0
-from .linalg import NoConvergenceError, SingularMatrixError
 from .solvers import (
     InnerSolverStallError,
     SolveStatus,
@@ -149,12 +148,7 @@ def run_bench(
                     if r == 0:
                         status = report.status
                         iterations = report.iterations
-            except (
-                ThetaUndefinedError,
-                InnerSolverStallError,
-                SingularMatrixError,
-                NoConvergenceError,
-            ) as exc:
+            except (ThetaUndefinedError, InnerSolverStallError) as exc:
                 # Deterministic failures: repeating them reveals nothing.
                 times.append(time.perf_counter() - t0)
                 status = None

@@ -33,6 +33,7 @@ from .generators import (
 )
 from .mmio import FileFormatError, read_vector
 from .solvers import (
+    ALPHA_MODES,
     InnerSolverStallError,
     Method,
     SolveStatus,
@@ -70,7 +71,7 @@ def _add_config_flags(sub: argparse.ArgumentParser, max_iter_default: int) -> No
     g.add_argument("--omega", type=float, default=d.omega, help="relaxation weight of sor-like")
     g.add_argument("--theta", type=float, default=d.theta, help="inexact-Newton bound; omit to derive it")
     g.add_argument("--nu", type=float, default=d.nu, help="fixed-point step length in (0, 1)")
-    g.add_argument("--alpha-mode", choices=("heuristic", "theoretical"), default=d.alpha_mode, help="inexactness schedule of inexact-drs")
+    g.add_argument("--alpha-mode", choices=ALPHA_MODES, default=d.alpha_mode, help="inexactness schedule of inexact-drs")
     g.add_argument("--k-max", type=int, default=d.k_max, help="heuristic schedule: last iteration with full budget")
     g.add_argument("--mu", type=float, default=d.mu, help="error-bound constant of the theoretical schedule")
     g.add_argument("--divergence-threshold", type=float, default=d.divergence_threshold, help="iterate norm declared divergent")

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import AveProblem
-from .linalg import NoConvergenceError, SingularMatrixError, is_sparse, sigma_min_estimate
+from .linalg import is_sparse, sigma_min_estimate
 from .mmio import (
     FileFormatError,
     read_matrix_market,
@@ -149,10 +149,7 @@ def gen_random_sparse(spec: GeneratorSpec) -> AveProblem:
         vals[diag] = 0.5 + _open_uniform(value_rng, int(np.count_nonzero(diag)))
         A_raw = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         A_raw.sort_indices()
-        try:
-            sigma_raw = sigma_min_estimate(A_raw, tol=1e-8)
-        except (SingularMatrixError, NoConvergenceError):
-            continue
+        sigma_raw = sigma_min_estimate(A_raw, tol=1e-8)
         if sigma_raw <= 0.0:
             continue
         A = (target / sigma_raw) * A_raw
@@ -201,10 +198,6 @@ def build_manifest(p: AveProblem, spec: GeneratorSpec | None = None) -> dict:
     ``sigma_min_achieved`` comes from a fresh estimate on the final matrix,
     not from the generator's internal bookkeeping.
     """
-    try:
-        sigma_achieved = sigma_min_estimate(p.A, tol=1e-6)
-    except (SingularMatrixError, NoConvergenceError):
-        sigma_achieved = 0.0
     random_spec = spec is not None and spec.family == RANDOM
     return {
         "family": spec.family if spec is not None else "custom",
@@ -212,7 +205,7 @@ def build_manifest(p: AveProblem, spec: GeneratorSpec | None = None) -> dict:
         "density_requested": spec.density if random_spec else None,
         "density_achieved": achieved_density(p.A),
         "sigma_min_target": spec.sigma_min_target if random_spec else None,
-        "sigma_min_achieved": sigma_achieved,
+        "sigma_min_achieved": sigma_min_estimate(p.A, tol=1e-6),
         "seed": spec.seed if spec is not None else None,
     }
 

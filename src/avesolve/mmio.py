@@ -65,7 +65,8 @@ def write_matrix_market(A, path) -> None:
 
 def read_matrix_market(path):
     """Read a Matrix Market file; coordinate files load as CSR, array files
-    as column-major dense arrays."""
+    as column-major dense arrays.  A symmetric file holds the lower triangle:
+    an array file its n (n + 1) / 2 entries column by column."""
     with open(path) as f:
         lines = f.readlines()
     if not lines:
@@ -140,23 +141,29 @@ def read_matrix_market(path):
         m, n = (int(t) for t in size_line)
     except ValueError:
         _fail(path, sizeno, f"non-integer size line: {lines[k].strip()!r}")
+    symmetric = symmetry == "symmetric"
+    if symmetric and m != n:
+        _fail(path, sizeno, f"symmetric array must be square, got {m} x {n}")
+    count = m * (m + 1) // 2 if symmetric else m * n
     vals = []
     for lineno in range(sizeno + 1, len(lines) + 1):
         raw = lines[lineno - 1].strip()
         if not raw or raw.startswith("%"):
             continue
-        if len(vals) >= m * n:
-            _fail(path, lineno, f"more than the declared {m * n} entries")
+        if len(vals) >= count:
+            _fail(path, lineno, f"more than the declared {count} entries")
         try:
             vals.append(float(raw))
         except ValueError:
             _fail(path, lineno, f"could not parse entry {raw!r}")
-    if len(vals) != m * n:
-        _fail(path, len(lines), f"declared {m * n} entries but found {len(vals)}")
-    d = np.array(vals, dtype=np.float64).reshape((n, m)).T
-    if symmetry == "symmetric":
-        d = np.where(np.arange(m)[:, None] >= np.arange(n)[None, :], d, d.T)
-    return np.asfortranarray(d)
+    if len(vals) != count:
+        _fail(path, len(lines), f"declared {count} entries but found {len(vals)}")
+    if not symmetric:
+        return np.asfortranarray(np.array(vals, dtype=np.float64).reshape((n, m)).T)
+    d = np.empty((n, n), order="F")
+    j, i = np.triu_indices(n)  # (i, j) walks the lower triangle column by column
+    d[i, j] = d[j, i] = vals
+    return d
 
 
 def write_vector(x: np.ndarray, path) -> None:

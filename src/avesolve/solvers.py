@@ -39,11 +39,11 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import AveProblem, GMatrix, residual, rho, theta_k
 from .linalg import (
     SingularMatrixError,
-    is_sparse,
     lu_factor,
     lu_operand,
     lu_solve,
@@ -72,6 +72,9 @@ __all__ = [
     "run_solver",
     "write_report_trace",
 ]
+
+# Inexactness schedules of drs_inexact, the values of SolverConfig.alpha_mode.
+ALPHA_MODES = ("heuristic", "theoretical")
 
 # Tightening retries granted to an inner LSQR solve before giving up.
 INNER_RETRY_LIMIT = 5
@@ -150,9 +153,9 @@ class SolverConfig:
             raise ValueError("SolverConfig: fixed theta must be nonnegative")
         if not 0.0 < self.nu < 1.0:
             raise ValueError(f"SolverConfig: nu must be in (0, 1), got {self.nu}")
-        if self.alpha_mode not in ("heuristic", "theoretical"):
+        if self.alpha_mode not in ALPHA_MODES:
             raise ValueError(
-                f"SolverConfig: alpha_mode must be 'heuristic' or 'theoretical', "
+                f"SolverConfig: alpha_mode must be {' or '.join(map(repr, ALPHA_MODES))}, "
                 f"got {self.alpha_mode!r}"
             )
         if self.k_max < 0:
@@ -379,18 +382,17 @@ def drs_inexact(
     def make_step():
         op = as_operator(p.A)
         max_inner = cfg.inner_max_iter if cfg.inner_max_iter is not None else 10 * p.n
-        a_norm = matrix_norm2_estimate(p.A, tol=1e-6)
-        if cfg.alpha_mode == "theoretical":
-            if cfg.G.is_identity:
-                atg_norm = matrix_norm2_estimate(p.A, tol=1e-8)
-            elif is_sparse(p.A):
-                atg_norm = matrix_norm2_estimate(p.A.T.multiply(cfg.G.diag).tocsr(), tol=1e-8)
-            else:
-                atg_norm = matrix_norm2_estimate(p.A.T * cfg.G.diag, tol=1e-8)
+        theoretical = cfg.alpha_mode == "theoretical"
+        if theoretical:
+            # ||A^T G|| = ||G A||, which under the identity metric is ||A||.
+            GA = p.A if cfg.G.is_identity else sp.diags(cfg.G.diag) @ p.A
+            atg_norm = matrix_norm2_estimate(GA, tol=1e-8)
+        shared = theoretical and cfg.G.is_identity
+        a_norm = atg_norm if shared else matrix_norm2_estimate(p.A, tol=1e-6)
 
         def step(x, k, e, en):
             rk = rho(cfg.G, e)
-            if cfg.alpha_mode == "heuristic":
+            if not theoretical:
                 alpha = _heuristic_alpha(k, cfg.k_max)
             else:
                 alpha = ((1.0 - cfg.delta) * cfg.gamma * (2.0 - cfg.gamma) * rk) / (
@@ -449,20 +451,23 @@ def resolve_newton_theta(p: AveProblem, cfg: SolverConfig) -> float:
     ``0.9999 (1 - 3 ||A^{-1}||) / (||A^{-1}|| (||A|| + 3))`` is evaluated
     from norm estimates; it only exists for ``||A^{-1}|| < 1/3``.
     """
+    return _newton_theta(p, cfg)[0]
+
+
+def _newton_theta(p: AveProblem, cfg: SolverConfig) -> tuple[float, float | None]:
+    """:func:`resolve_newton_theta` and the ``||A||`` estimate a derived
+    theta was computed from (``None`` for a fixed theta)."""
     if cfg.theta is not None:
-        return cfg.theta
+        return cfg.theta, None
     norm_A = matrix_norm2_estimate(p.A, tol=1e-8)
-    try:
-        sigma_min = sigma_min_estimate(p.A, tol=1e-8)
-    except SingularMatrixError:
-        sigma_min = 0.0
+    sigma_min = sigma_min_estimate(p.A, tol=1e-8)
     inv_norm = np.inf if sigma_min == 0.0 else 1.0 / sigma_min
     if inv_norm >= 1.0 / 3.0:
         raise ThetaUndefinedError(
             f"newton_inexact: derived theta needs ||A^-1|| < 1/3, "
             f"estimated ||A^-1|| = {inv_norm:.4f}"
         )
-    return 0.9999 * (1.0 - 3.0 * inv_norm) / (inv_norm * (norm_A + 3.0))
+    return 0.9999 * (1.0 - 3.0 * inv_norm) / (inv_norm * (norm_A + 3.0)), norm_A
 
 
 def newton_inexact(
@@ -479,15 +484,16 @@ def newton_inexact(
     :func:`newton_exact`.  Steps whose bound falls below the roundoff
     scale of the linear system are solved to roundoff and accepted.
     """
-    theta = resolve_newton_theta(p, cfg)
+    theta, norm_A = _newton_theta(p, cfg)
     if theta == 0.0:
         return newton_exact(p, cfg, x0, callback)
 
     def make_step():
         max_inner = cfg.inner_max_iter if cfg.inner_max_iter is not None else 10 * p.n
         AT = transposed(p.A)
-        # ||A - diag(sign(x))|| <= ||A|| + 1, a tight enough scale here
-        jac_norm = matrix_norm2_estimate(p.A, tol=1e-6) + 1.0
+        # ||A - diag(sign(x))|| <= ||A|| + 1, a tight enough scale here; a
+        # derived theta comes with its ||A|| estimate.
+        jac_norm = (norm_A if norm_A is not None else matrix_norm2_estimate(p.A, tol=1e-6)) + 1.0
 
         def step(x, k, e, en):
             s = sign_diag(x)

@@ -10,7 +10,7 @@ from avesolve.bench import BENCH_MAX_ITER, write_bench_manifest
 from avesolve.cli import _config_from_args, build_parser, main
 from avesolve.core import AveProblem
 from avesolve.generators import gen_tridiag8, read_manifest, save_problem
-from avesolve.solvers import SolverConfig
+from avesolve.solvers import ALPHA_MODES, SolverConfig
 
 # Every SolverConfig field but the metric G has its own flag and JSON key.
 CONFIG_FIELDS = [f.name for f in fields(SolverConfig) if f.name != "G"]
@@ -289,6 +289,7 @@ def test_config_flags_follow_solver_config(command, max_iter, tmp_path):
         path.write_text(json.dumps({name: getattr(defaults, name)}))
         args = build_parser().parse_args([command, *REQUIRED_ARGS[command], "--config", str(path)])
         assert getattr(_config_from_args(args), name) == getattr(defaults, name), name
+    assert actions["alpha_mode"].choices == ALPHA_MODES
 
 
 def test_bench_manifest_records_every_config_field(tmp_path):

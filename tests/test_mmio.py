@@ -1,8 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.io
 import scipy.sparse as sp
 
+from avesolve.generators import gen_tridiag8
 from avesolve.mmio import (
     FileFormatError,
     read_matrix_market,
@@ -52,6 +54,18 @@ class TestMatrixRoundTrip:
         B = read_matrix_market(path)
         npt.assert_array_equal(B.toarray(), [[4.0, -1.0], [-1.0, 5.0]])
 
+    def test_symmetric_array_from_scipy_exact(self, tmp_path):
+        rng = np.random.default_rng(9)
+        R = rng.standard_normal((5, 5))
+        R[1, 0] = 1.0 / 3.0
+        for name, A in [("tridiag8", gen_tridiag8(6).A.toarray()), ("random", R + R.T)]:
+            path = tmp_path / f"{name}.mtx"
+            scipy.io.mmwrite(path, A)
+            assert "array real symmetric" in path.read_text().splitlines()[0]
+            B = read_matrix_market(path)
+            assert isinstance(B, np.ndarray) and B.flags.f_contiguous
+            npt.assert_array_equal(B, A)
+
     def test_duplicate_entries_summed(self, tmp_path):
         path = tmp_path / "dup.mtx"
         path.write_text(
@@ -92,6 +106,20 @@ class TestMatrixErrors:
             "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n"
         )
         with pytest.raises(FileFormatError, match=r"oob\.mtx:3"):
+            read_matrix_market(path)
+
+    def test_symmetric_array_not_square(self, tmp_path):
+        path = tmp_path / "rect.mtx"
+        path.write_text("%%MatrixMarket matrix array real symmetric\n2 3\n" + "1.0\n" * 5)
+        with pytest.raises(FileFormatError, match=r"rect\.mtx:2: .*square"):
+            read_matrix_market(path)
+
+    def test_symmetric_array_with_full_entries(self, tmp_path):
+        # All 9 entries of a 3 x 3 matrix where the lower triangle's 6 belong;
+        # the 7th entry, on line 9, is one too many.
+        path = tmp_path / "full.mtx"
+        path.write_text("%%MatrixMarket matrix array real symmetric\n3 3\n" + "1.0\n" * 9)
+        with pytest.raises(FileFormatError, match=r"full\.mtx:9: more than the declared 6"):
             read_matrix_market(path)
 
     def test_missing_size_line(self, tmp_path):

@@ -1,11 +1,13 @@
 import csv
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from avesolve.core import AveProblem, GMatrix, residual, theta_k
+from avesolve import solvers
+from avesolve.core import AveProblem, GMatrix, check_solvability, residual, theta_k
 from avesolve.generators import (
     GeneratorSpec,
     gen_no_solution_1d,
@@ -411,6 +413,13 @@ class TestNewton:
         assert theta == pytest.approx(expected, rel=1e-4)
         assert 0.0 < theta < 1.0
 
+    @pytest.mark.parametrize("p", [gen_tridiag8(60), small_random_problem(13, n=30, target=3.5)],
+                             ids=["tridiag8", "random"])
+    def test_check_solvability_reproduces_derived_theta(self, p):
+        rep = check_solvability(p)
+        expected = 0.9999 * (1.0 - 3.0 * rep.inv_norm) / (rep.inv_norm * (rep.norm_A + 3.0))
+        assert resolve_newton_theta(p, SolverConfig()) == expected
+
     def test_theta_undefined_when_inverse_too_large(self):
         # sigma_min = 1 means ||A^-1|| = 1 >= 1/3.
         p = AveProblem(np.array([[1.0, 2.0], [-2.0 / 3.0, 1.0]]), np.zeros(2))
@@ -438,6 +447,34 @@ class TestNewton:
             s = np.sign(xs[k])
             r = A @ xs[k + 1] - s * xs[k + 1] - p.b
             assert norm2(r) <= theta * norm2(e) * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize(
+    "solver, cfg, estimates",
+    [
+        (newton_inexact, SolverConfig(), 1),
+        (newton_inexact, SolverConfig(theta=0.05), 1),
+        (drs_inexact, SolverConfig(), 1),
+        (drs_inexact, SolverConfig(alpha_mode="theoretical", mu=1.0), 1),
+        (drs_inexact, SolverConfig(alpha_mode="theoretical", mu=1.0,
+                                   G=GMatrix.diagonal(np.linspace(1.0, 2.0, 40))), 2),
+    ],
+    ids=["newton-derived-theta", "newton-fixed-theta", "drs-heuristic",
+         "drs-theoretical", "drs-theoretical-diagonal-metric"],
+)
+def test_norm_estimates_per_inexact_solve(monkeypatch, solver, cfg, estimates):
+    """Each solve estimates ||A|| once; a diagonal metric adds ||G A||."""
+    calls = []
+    estimate = solvers.matrix_norm2_estimate
+
+    def counting(A, **kwargs):
+        calls.append(A)
+        return estimate(A, **kwargs)
+
+    monkeypatch.setattr(solvers, "matrix_norm2_estimate", counting)
+    p = small_random_problem(12, n=40, target=3.2)
+    solver(p, replace(cfg, max_iter=3), x0=gen_x0(40, seed=13))
+    assert len(calls) == estimates
 
 
 class TestSorLike:
