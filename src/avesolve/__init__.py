@@ -33,6 +33,7 @@ from .linalg import (
     matrix_norm2_estimate,
     norm2,
     sigma_min_estimate,
+    singular_value_bounds,
 )
 from .lsqr import LsqrOptions, LsqrResult, LsqrStop, lsqr_solve
 from .solvers import (

@@ -12,11 +12,11 @@ metric-dependent relaxation scalar and the linearized subproblem operator
 whose root is the next iterate.
 
 ``check_solvability`` classifies a problem by the smallest singular value of
-``A`` (unique solvability for every ``b`` holds when it exceeds 1) and
-searches a fixed grid for a contraction witness ``nu`` with
-``||I - nu A|| < 1 - nu``, which certifies unique solvability through the
-Banach fixed-point theorem even for some matrices with smallest singular
-value below 1.
+``A`` (unique solvability for every ``b`` holds when it exceeds 1) and looks
+for a contraction witness ``nu`` with ``||I - nu A|| < 1 - nu``, which
+certifies unique solvability through the Banach fixed-point theorem even for
+some matrices with smallest singular value below 1.  Both answers rest on
+guaranteed bounds, so a certificate is never issued on an estimate's word.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import is_sparse, matrix_norm2_estimate, norm2, sigma_min_estimate
+from .linalg import EPS, is_sparse, norm2, singular_value_bounds
 
 __all__ = [
     "ZeroResidualError",
@@ -47,7 +47,8 @@ __all__ = [
 # Half-width of the band around sigma_min = 1 reported as the boundary regime.
 BOUNDARY_TOL = 1e-8
 
-# Candidate contraction parameters for the Banach certificate.
+# Candidate contraction parameters for the Banach certificate.  A value
+# passes only if the first one does (see ``_banach_witness``).
 BANACH_NU_GRID = np.round(np.arange(1, 100) * 0.01, 2)
 
 
@@ -221,47 +222,58 @@ class SolvabilityReport:
     banach_nu: float | None = None
 
 
-def _eye_like(A, nu: float):
+def _banach_witness(A, smax_lo: float, smax_hi: float) -> float | None:
+    """``BANACH_NU_GRID[0]`` when ``||I - nu A|| < 1 - nu`` is proven there,
+    else ``None``.
+
+    ``phi(nu) = ||I - nu A|| - (1 - nu)`` is convex with ``phi(0) = 0``, so
+    ``phi(nu) / nu`` is nondecreasing: if any grid value passes, so does
+    every smaller one.  ``||I - nu A|| >= nu ||A|| - 1`` rejects without a
+    second bound.  Forming ``I - nu A`` rounds entry ``(i, j)`` by at most
+    ``eps (delta_ij + nu |a_ij|)``, which is at most
+    ``eps sqrt(n) (1 + nu ||A||)`` in 2-norm, added to the bound.
+    """
+    nu = float(BANACH_NU_GRID[0])
+    if nu * smax_lo - 1.0 >= 1.0 - nu:
+        return None
     n = A.shape[0]
     if is_sparse(A):
-        return sp.identity(n, format="csr") - nu * A
-    return np.eye(n) - nu * A
+        shifted = sp.identity(n, format="csr") - nu * A
+    else:
+        shifted = np.eye(n) - nu * A
+    hi = singular_value_bounds(shifted)[3] + EPS * np.sqrt(n) * (1.0 + nu * smax_hi)
+    return nu if hi < 1.0 - nu else None
 
 
 def check_solvability(p: AveProblem) -> SolvabilityReport:
-    """Classify a problem by the smallest singular value of ``A`` and search
-    for a Banach contraction witness.
+    """Classify a problem by the smallest singular value of ``A`` and look
+    for a Banach contraction witness, from the guaranteed intervals of
+    :func:`.linalg.singular_value_bounds`.
 
-    ``norm_A`` and ``sigma_min`` are the estimates of :mod:`.linalg` at
-    relative tolerance 1e-8, the same ones the derived inexact-Newton
-    ``theta`` is computed from.  Never raises: a numerically singular ``A``
-    reports ``sigma_min = 0`` and the not-covered regime.  The witness
-    search walks ``nu`` over ``BANACH_NU_GRID`` and reports the first value
-    with ``||I - nu A|| < 1 - nu``; the comparison inherits the accuracy of
-    the spectral-norm estimator.
+    The regime is strictly monotone when the interval for ``sigma_min``
+    lies above ``1 + BOUNDARY_TOL``, boundary monotone when it lies inside
+    ``1 +- BOUNDARY_TOL``, and not covered otherwise: "not covered" means
+    no certificate, which includes a singular ``A`` and an interval too wide
+    to decide.  Each reported number sits on its safe side: ``sigma_min``
+    is the lower bound, ``norm_A`` the upper bound and ``inv_norm`` is
+    ``1 / sigma_min`` (``inf`` at 0).  ``banach_nu`` is the first value of
+    ``BANACH_NU_GRID`` when ``||I - nu A|| < 1 - nu`` is proven for it,
+    which happens exactly when it can be proven for any grid value.  Never
+    raises.
     """
-    norm_A = matrix_norm2_estimate(p.A, tol=1e-8)
-    sigma_min = sigma_min_estimate(p.A, tol=1e-8)
-
-    if sigma_min > 1.0 + BOUNDARY_TOL:
+    smin_lo, smin_hi, smax_lo, smax_hi = singular_value_bounds(p.A)
+    if smin_lo > 1.0 + BOUNDARY_TOL:
         regime = Regime.STRICTLY_MONOTONE
-    elif abs(sigma_min - 1.0) <= BOUNDARY_TOL:
+    elif 1.0 - BOUNDARY_TOL <= smin_lo and smin_hi <= 1.0 + BOUNDARY_TOL:
         regime = Regime.BOUNDARY_MONOTONE
     else:
         regime = Regime.NOT_COVERED
 
-    banach_nu = None
-    for nu in BANACH_NU_GRID:
-        nu = float(nu)
-        if matrix_norm2_estimate(_eye_like(p.A, nu), tol=1e-8) < 1.0 - nu:
-            banach_nu = nu
-            break
-
-    inv_norm = float("inf") if sigma_min == 0.0 else 1.0 / sigma_min
+    inv_norm = float("inf") if smin_lo == 0.0 else 1.0 / smin_lo
     return SolvabilityReport(
-        sigma_min=sigma_min,
-        norm_A=norm_A,
+        sigma_min=smin_lo,
+        norm_A=smax_hi,
         inv_norm=inv_norm,
         regime=regime,
-        banach_nu=banach_nu,
+        banach_nu=_banach_witness(p.A, smax_lo, smax_hi),
     )

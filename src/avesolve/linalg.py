@@ -12,14 +12,22 @@ length n) exactly when that is smaller than dense storage, i.e. when
 ``2 kl + ku + 1 < n``; every other matrix is factored densely
 (``getrf``/``getrs``).  Both use partial pivoting.
 
-Spectral-norm and smallest-singular-value estimates use power iteration on
-``A^T A`` (inverse power iteration through an LU factorization for the
-smallest).  The iteration stops once the Rayleigh quotient stabilizes, so on
-matrices whose extreme singular values are tightly clustered the returned
-value carries the cluster's width as error; on matrices with a spectral gap
-it is accurate to roughly ``tol``.  Neither estimate fails: after
-``max_iter`` sweeps it returns the last one, and a numerically singular
-matrix has smallest singular value ``0.0``.
+:func:`singular_value_bounds` encloses the smallest and the largest
+singular value in intervals that hold despite rounding; the solvability
+certificate rests on them.  It chooses its storage like the LU: densely
+stored matrices get LAPACK's singular values with a backward-error padding,
+band-stored ones O(nnz) norm and Gershgorin-type bounds.
+
+The spectral-norm and smallest-singular-value estimates feed only the
+derived inexact-Newton ``theta``, the step scales of ``drs_inexact`` and the
+rescaling of the random generator.  They use power iteration on ``A^T A``
+(inverse power iteration through an LU factorization for the smallest).  The
+iteration stops once the Rayleigh quotient stabilizes, so on matrices whose
+extreme singular values are tightly clustered the returned value carries the
+cluster's width as error; on matrices with a spectral gap it is accurate to
+roughly ``tol``.  Neither estimate fails: after ``max_iter`` sweeps it
+returns the last one, and a numerically singular matrix has smallest
+singular value ``0.0``.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ __all__ = [
     "lu_factor",
     "lu_solve",
     "norm2",
+    "singular_value_bounds",
     "matrix_norm2_estimate",
     "sigma_min_estimate",
     "sign_diag",
@@ -50,6 +59,8 @@ __all__ = [
 
 # Pivots below this fraction of the largest entry magnitude are treated as zero.
 PIVOT_RTOL = 1e-14
+
+EPS = float(np.finfo(np.float64).eps)
 
 
 class SingularMatrixError(Exception):
@@ -226,6 +237,54 @@ def lu_solve(factors: LuFactors, b: np.ndarray, transpose: bool = False) -> np.n
 def norm2(x: np.ndarray) -> float:
     """Euclidean norm of a vector."""
     return float(np.linalg.norm(x))
+
+
+def singular_value_bounds(A) -> tuple[float, float, float, float]:
+    """Bounds ``(smin_lo, smin_hi, smax_lo, smax_hi)`` with
+    ``smin_lo <= sigma_min(A) <= smin_hi`` and
+    ``smax_lo <= ||A||_2 <= smax_hi`` for square ``A``, rounding included.
+
+    The storage follows :func:`band_layout`.  Densely stored input gets the
+    singular values of its dense copy from ``scipy.linalg.svdvals``.  LAPACK
+    computes the exact singular values of some ``A + E`` with
+    ``||E|| <= n eps ||A||``, and by Weyl's inequality no singular value
+    moves by more than ``||E||``, so each is padded by ``n eps sigma_max``.
+
+    Band-stored input is never widened; its bounds take O(nnz) time and
+    memory.  With ``r_i`` and ``c_i`` the off-diagonal absolute row and
+    column sums:
+
+    - ``||A|| <= sqrt(||A||_1 ||A||_inf)``, and ``||A||`` is at least the
+      largest column 2-norm;
+    - ``sigma_min >= min_i (|a_ii| - (r_i + c_i) / 2)`` (Johnson, Linear
+      Algebra Appl. 112, 1989), and ``sigma_min`` is at most the smallest
+      column 2-norm.
+
+    A sum of at most n terms rounds by less than ``n eps`` relative to the
+    sum of the magnitudes, so each band bound is widened by ``(n + 4) eps``
+    relative to the terms it is computed from.  The lower bound on
+    ``sigma_min`` is clipped at 0.
+    """
+    n = A.shape[0]
+    if band_layout(A) is None:
+        sv = scipy.linalg.svdvals(to_dense(A), overwrite_a=True, check_finite=False)
+        smin, smax = float(sv[-1]), float(sv[0])
+        pad = n * EPS * smax
+        return max(smin - pad, 0.0), smin + pad, smax - pad, smax + pad
+    A = _canonical_csr(A)
+    widen = (n + 4) * EPS
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    off = np.where(rows == A.indices, 0.0, np.abs(A.data))
+    r = np.bincount(rows, off, minlength=n)
+    c = np.bincount(A.indices, off, minlength=n)
+    d = np.abs(A.diagonal())
+    half = (r + c) / 2.0
+    smin_lo = float(np.min(d - half - widen * (d + half)))
+    smax_hi = float(np.sqrt(np.max(d + c) * np.max(d + r))) * (1.0 + widen)
+    col = np.sqrt(np.bincount(A.indices, A.data * A.data, minlength=n))
+    smin_hi = float(np.min(col)) * (1.0 + widen)
+    smax_lo = float(np.max(col)) * (1.0 - widen)
+    return max(smin_lo, 0.0), smin_hi, smax_lo, smax_hi
 
 
 def _start_vector(n: int) -> np.ndarray:

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import avesolve.core as core
+import avesolve.linalg as linalg
 from avesolve.core import (
+    BANACH_NU_GRID,
     AveProblem,
     GMatrix,
     Regime,
@@ -17,7 +22,7 @@ from avesolve.core import (
     theta_k,
 )
 from avesolve.generators import GeneratorSpec, gen_random_sparse, gen_tridiag8
-from avesolve.linalg import matrix_norm2_estimate, norm2
+from avesolve.linalg import band_layout, matrix_norm2_estimate, norm2
 
 
 def random_problem(seed, n=10, scale=3.0):
@@ -268,3 +273,78 @@ class TestSolvability:
         assert rep.regime is Regime.NOT_COVERED
         assert rep.sigma_min == 0.0
         assert rep.inv_norm == np.inf
+
+    def test_tridiag_band_storage_at_scale(self):
+        # A dense copy at n = 100 000 would take 80 GB; the band-storage
+        # bounds stay under 1 KB per row.
+        n = 100_000
+        p = gen_tridiag8(n)
+        tracemalloc.start()
+        try:
+            rep = check_solvability(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * n
+        assert rep.regime is Regime.STRICTLY_MONOTONE
+        assert rep.banach_nu == BANACH_NU_GRID[0] == 0.01
+        c = np.cos(np.pi / (n + 1))
+        assert rep.sigma_min <= 8.0 - 2.0 * c
+        assert rep.norm_A >= 8.0 + 2.0 * c
+
+    def test_band_bound_too_weak_is_not_covered(self):
+        # sigma_min is exactly 3, but Johnson's bound for a zero diagonal is
+        # 0 - (3 + 3) / 2 = -3: no certificate, reported as sigma_min 0.
+        A = sp.block_diag([np.array([[0.0, 3.0], [3.0, 0.0]])] * 3, format="csr")
+        assert band_layout(A) is not None
+        assert np.linalg.svd(A.toarray(), compute_uv=False)[-1] == pytest.approx(3.0)
+        rep = check_solvability(AveProblem(A, np.zeros(6)))
+        assert rep.regime is Regime.NOT_COVERED
+        assert rep.sigma_min == 0.0
+        assert rep.inv_norm == np.inf
+        assert rep.banach_nu is None
+
+    def test_uses_no_estimator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_solvability called a power-iteration estimator")
+
+        monkeypatch.setattr(linalg, "matrix_norm2_estimate", refuse)
+        monkeypatch.setattr(linalg, "sigma_min_estimate", refuse)
+        assert not hasattr(core, "matrix_norm2_estimate")
+        assert not hasattr(core, "sigma_min_estimate")
+        problems = [
+            AveProblem(np.array([[1.0, 2.0], [-2.0 / 3.0, 1.0]]), np.zeros(2)),
+            AveProblem(1.5 * np.eye(6), np.ones(6)),
+            gen_tridiag8(60),
+            gen_random_sparse(GeneratorSpec(family="random", n=40, sigma_min_target=1.5)),
+        ]
+        for p in problems:
+            check_solvability(p)
+
+
+def exact_banach_scan(A):
+    """``(first grid nu with ||I - nu A|| < 1 - nu, smallest |margin|)``
+    from numpy's SVD over the whole ``BANACH_NU_GRID``."""
+    n = A.shape[0]
+    margins = [np.linalg.svd(np.eye(n) - nu * A, compute_uv=False)[0] - (1.0 - nu)
+               for nu in BANACH_NU_GRID]
+    passing = [nu for nu, m in zip(BANACH_NU_GRID, margins) if m < 0.0]
+    return (float(passing[0]) if passing else None), min(abs(m) for m in margins)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 6),
+       shift=st.floats(0.2, 3.0), spread=st.floats(0.0, 2.0))
+def test_banach_nu_matches_exact_scan(seed, n, shift, spread):
+    """The one-point witness test agrees with an exact scan of all 99 grid
+    values wherever the scan is decided by more than rounding, and every
+    witness passes the exact test."""
+    rng = np.random.default_rng(seed)
+    A = shift * np.eye(n) + spread * rng.uniform(-1.0, 1.0, (n, n))
+    expected, closest = exact_banach_scan(A)
+    for M in (A, sp.csr_matrix(A)):
+        nu = check_solvability(AveProblem(M, np.zeros(n))).banach_nu
+        if nu is not None:
+            assert np.linalg.svd(np.eye(n) - nu * A, compute_uv=False)[0] < 1.0 - nu
+        if band_layout(M) is None and closest > 1e-10:
+            assert nu == expected

@@ -14,6 +14,7 @@ from avesolve.linalg import (
     norm2,
     sigma_min_estimate,
     sign_diag,
+    singular_value_bounds,
     to_dense,
     transposed,
 )
@@ -190,6 +191,56 @@ class TestBandedLu:
         assert band_layout(A) == (1, 1)
         with pytest.raises(SingularMatrixError, match="pivot"):
             lu_factor(A)
+
+
+class TestSingularValueBounds:
+    """The intervals enclose the extreme singular values from numpy's SVD."""
+
+    @staticmethod
+    def assert_encloses(A, smin, smax):
+        smin_lo, smin_hi, smax_lo, smax_hi = singular_value_bounds(A)
+        assert 0.0 <= smin_lo <= smin <= smin_hi
+        assert 0.0 <= smax_lo <= smax <= smax_hi
+
+    @staticmethod
+    def svd_extremes(A):
+        s = np.linalg.svd(to_dense(A), compute_uv=False)
+        return s[-1], s[0]
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 8),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), rank_drop=st.integers(0, 2))
+    def test_dense(self, seed, n, scale, rank_drop):
+        rng = np.random.default_rng(seed)
+        A = scale * rng.uniform(-1.0, 1.0, (n, n))
+        A[:, : min(rank_drop, n - 1)] = 0.0
+        self.assert_encloses(A, *self.svd_extremes(A))
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 10_000), n=st.integers(8, 40),
+           offsets=st.sampled_from([(0,), (-1, 0, 1), (-2, 0, 1), (-1, 1), (0, 3)]))
+    def test_band(self, seed, n, offsets):
+        A = random_band(n, offsets, seed)
+        assert band_layout(A) is not None
+        self.assert_encloses(A, *self.svd_extremes(A))
+
+    @settings(deadline=None, max_examples=10)
+    @given(seed=st.integers(0, 1_000), n=st.integers(30, 200),
+           target=st.sampled_from([(0.8, 0.05), (1.0, 0.0), (3.5, 0.05)]))
+    def test_random_family(self, seed, n, target):
+        p = gen_random_sparse(GeneratorSpec(family="random", n=n, sigma_min_target=target[0],
+                                            margin=target[1], seed=seed))
+        self.assert_encloses(p.A, *self.svd_extremes(p.A))
+
+    @pytest.mark.parametrize("n", [60, 1000])
+    def test_tridiag_closed_form(self, n):
+        lam = 8.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+        A = tridiag(n)
+        assert band_layout(A) == (1, 1)
+        self.assert_encloses(A, lam.min(), lam.max())
+        smin_lo, _, _, smax_hi = singular_value_bounds(A)
+        assert smin_lo == pytest.approx(6.0, rel=1e-9)
+        assert smax_hi == pytest.approx(10.0, rel=1e-9)
 
 
 class TestNormEstimate:
