@@ -2,16 +2,22 @@
 
 Sparse matrices travel as Matrix Market coordinate files, dense matrices as
 Matrix Market array files (column-major entry order), vectors as one entry
-per line.  Values are written with 17 significant digits so float64 data
-round-trips exactly.  All parse failures raise :class:`FileFormatError`
-naming the file and 1-based line number.
+per line.  SciPy's reader and writer (``scipy.io.mmread``/``mmwrite``)
+parse and format the matrix entries; values are written in the shortest
+form that round-trips, e.g. ``3.451248509317211E2``; a -0.0 in an array
+file reads as +0.0.  avesolve checks the banner and size line itself before
+SciPy reads the body, and every parse failure raises
+:class:`FileFormatError` naming the file and 1-based line.
 """
 
 from __future__ import annotations
 
+import io
 import os
+import re
 
 import numpy as np
+import scipy.io
 import scipy.sparse as sp
 
 from .linalg import is_sparse
@@ -23,8 +29,6 @@ __all__ = [
     "write_vector",
     "read_vector",
 ]
-
-_FMT = "%.17g"
 
 
 class FileFormatError(Exception):
@@ -42,136 +46,91 @@ def write_matrix_market(A, path) -> None:
     sparse formats are converted to CSR first.
     """
     if is_sparse(A):
-        M = sp.csr_matrix(A)
-        M.sum_duplicates()
-        M.sort_indices()
-        coo = M.tocoo()
-        with open(path, "w") as f:
-            f.write("%%MatrixMarket matrix coordinate real general\n")
-            f.write(f"{M.shape[0]} {M.shape[1]} {coo.nnz}\n")
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                f.write(f"{i + 1} {j + 1} {_FMT % v}\n")
+        M = sp.csr_matrix(A, dtype=np.float64)
+        M.sum_duplicates()  # also sorts the indices
     else:
-        d = np.asarray(A, dtype=np.float64)
-        if d.ndim != 2:
+        M = np.asarray(A, dtype=np.float64)
+        if M.ndim != 2:
             raise ValueError("write_matrix_market: expected a 2-D matrix")
-        with open(path, "w") as f:
-            f.write("%%MatrixMarket matrix array real general\n")
-            f.write(f"{d.shape[0]} {d.shape[1]}\n")
-            for j in range(d.shape[1]):
-                for i in range(d.shape[0]):
-                    f.write(f"{_FMT % d[i, j]}\n")
+    # An open file, as mmwrite appends ".mtx" to other paths; "general", as
+    # its default writes a symmetric dense matrix as a symmetric file.
+    with open(path, "wb") as f:
+        scipy.io.mmwrite(f, M, symmetry="general")
+
+
+# What the banner may declare after "%%MatrixMarket", in order.
+_SUPPORTED = (("matrix",), ("coordinate", "array"), ("real", "integer"), ("general", "symmetric"))
+
+
+def _check_header(path, f):
+    """Check the banner, comments and size line of the open file ``f``;
+    return ``(fmt, symmetric, m, n, count, sizeno)``, where ``count`` is the
+    number of entries the body must hold.  SciPy trusts the header: given a
+    symmetric array header on a non-square size, it reads out of bounds."""
+    banner = f.readline()
+    header = banner.split()
+    if len(header) != 5 or header[0] != "%%MatrixMarket":
+        _fail(path, 1, f"malformed MatrixMarket header: {banner.strip()!r}")
+    _, obj, fmt, field, symmetry = (t.lower() for t in header)
+    for value, allowed in zip((obj, fmt, field, symmetry), _SUPPORTED):
+        if value not in allowed:
+            _fail(path, 1, f"unsupported {value!r}, expected {' or '.join(allowed)}")
+
+    sizeno, line = 2, f.readline()
+    while line.lstrip().startswith("%"):
+        sizeno, line = sizeno + 1, f.readline()
+    if not line:
+        _fail(path, sizeno - 1, "missing size line")
+    fields = "rows cols nnz" if fmt == "coordinate" else "rows cols"
+    sizes = line.split()
+    if len(sizes) != len(fields.split()) or not all(t.isdecimal() for t in sizes):
+        _fail(path, sizeno, f"{fmt} size line needs non-negative integers "
+                            f"'{fields}', got {line.strip()!r}")
+    m, n, *nnz = map(int, sizes)
+    symmetric = symmetry == "symmetric"
+    if symmetric and m != n:
+        _fail(path, sizeno, f"symmetric matrix must be square, got {m} x {n}")
+    count = nnz[0] if nnz else n * (n + 1) // 2 if symmetric else m * n
+    return fmt, symmetric, m, n, count, sizeno
 
 
 def read_matrix_market(path):
-    """Read a Matrix Market file; coordinate files load as CSR, array files
-    as column-major dense arrays.  A symmetric file holds the lower triangle:
-    an array file its n (n + 1) / 2 entries column by column."""
+    """Read a Matrix Market file; coordinate files load as canonical CSR,
+    array files as column-major dense arrays, both float64.  A symmetric
+    file holds the lower triangle: an array file its n (n + 1) / 2 entries
+    column by column."""
     with open(path) as f:
-        lines = f.readlines()
-    if not lines:
-        _fail(path, 1, "empty file, expected a MatrixMarket header")
-
-    header = lines[0].strip().split()
-    if len(header) != 5 or header[0] != "%%MatrixMarket":
-        _fail(path, 1, f"malformed MatrixMarket header: {lines[0].strip()!r}")
-    _, obj, fmt, field, symmetry = (t.lower() for t in header)
-    if obj != "matrix":
-        _fail(path, 1, f"unsupported object {obj!r}, expected 'matrix'")
-    if fmt not in ("coordinate", "array"):
-        _fail(path, 1, f"unsupported format {fmt!r}")
-    if field not in ("real", "integer"):
-        _fail(path, 1, f"unsupported field {field!r}, expected real or integer")
-    if symmetry not in ("general", "symmetric"):
-        _fail(path, 1, f"unsupported symmetry {symmetry!r}")
-
-    # Skip comment lines between header and size line.
-    k = 1
-    while k < len(lines) and lines[k].lstrip().startswith("%"):
-        k += 1
-    if k >= len(lines):
-        _fail(path, len(lines), "missing size line")
-    size_line = lines[k].split()
-    sizeno = k + 1
-
-    if fmt == "coordinate":
-        if len(size_line) != 3:
-            _fail(path, sizeno, f"coordinate size line needs 'rows cols nnz', got {lines[k].strip()!r}")
-        try:
-            m, n, nnz = (int(t) for t in size_line)
-        except ValueError:
-            _fail(path, sizeno, f"non-integer size line: {lines[k].strip()!r}")
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        count = 0
-        for lineno in range(sizeno + 1, len(lines) + 1):
-            raw = lines[lineno - 1].strip()
-            if not raw or raw.startswith("%"):
-                continue
-            if count >= nnz:
-                _fail(path, lineno, f"more than the declared {nnz} entries")
-            parts = raw.split()
-            if len(parts) != 3:
-                _fail(path, lineno, f"expected 'row col value', got {raw!r}")
-            try:
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                _fail(path, lineno, f"could not parse entry {raw!r}")
-            if not (1 <= i <= m and 1 <= j <= n):
-                _fail(path, lineno, f"index ({i}, {j}) outside {m} x {n}")
-            rows[count], cols[count], vals[count] = i - 1, j - 1, v
-            count += 1
-        if count != nnz:
-            _fail(path, len(lines), f"declared {nnz} entries but found {count}")
-        if symmetry == "symmetric":
-            off = rows != cols
-            mirror_r, mirror_c, mirror_v = cols[off], rows[off], vals[off]
-            rows = np.concatenate([rows, mirror_r])
-            cols = np.concatenate([cols, mirror_c])
-            vals = np.concatenate([vals, mirror_v])
-        M = sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
-        M.sum_duplicates()
-        M.sort_indices()
-        return M
-
-    if len(size_line) != 2:
-        _fail(path, sizeno, f"array size line needs 'rows cols', got {lines[k].strip()!r}")
+        fmt, symmetric, m, n, count, sizeno = _check_header(path, f)
+        # SciPy does not count the entries of a symmetric array file (a short
+        # one reads as zeros) and stops the process on an array with no rows,
+        # so each array body goes to it as one general row of the declared
+        # length, on the line numbers it has in the file.
+        source = path if fmt == "coordinate" else io.StringIO(
+            "%%MatrixMarket matrix array real general\n" + "%\n" * (sizeno - 2)
+            + f"1 {count}\n" + f.read())
     try:
-        m, n = (int(t) for t in size_line)
-    except ValueError:
-        _fail(path, sizeno, f"non-integer size line: {lines[k].strip()!r}")
-    symmetric = symmetry == "symmetric"
-    if symmetric and m != n:
-        _fail(path, sizeno, f"symmetric array must be square, got {m} x {n}")
-    count = m * (m + 1) // 2 if symmetric else m * n
-    vals = []
-    for lineno in range(sizeno + 1, len(lines) + 1):
-        raw = lines[lineno - 1].strip()
-        if not raw or raw.startswith("%"):
-            continue
-        if len(vals) >= count:
-            _fail(path, lineno, f"more than the declared {count} entries")
-        try:
-            vals.append(float(raw))
-        except ValueError:
-            _fail(path, lineno, f"could not parse entry {raw!r}")
-    if len(vals) != count:
-        _fail(path, len(lines), f"declared {count} entries but found {len(vals)}")
+        M = scipy.io.mmread(source)
+    except (ValueError, OverflowError) as exc:
+        message = str(exc)
+        if at := re.match(r"Line (\d+): (.*)", message):
+            too_many = at[2].startswith("Too many")
+            _fail(path, int(at[1]), f"more than the declared {count} entries" if too_many else at[2])
+        if short := re.match(r"Truncated file\. Expected another (\d+) lines", message):
+            _fail(path, sizeno, f"declared {count} entries but found {count - int(short[1])}")
+        raise FileFormatError(f"{os.fspath(path)}: {message}")
+    if fmt == "coordinate":
+        return M.tocsr().astype(np.float64, copy=False)
     if not symmetric:
-        return np.asfortranarray(np.array(vals, dtype=np.float64).reshape((n, m)).T)
+        return M[0].reshape((n, m)).T
     d = np.empty((n, n), order="F")
     j, i = np.triu_indices(n)  # (i, j) walks the lower triangle column by column
-    d[i, j] = d[j, i] = vals
+    d[i, j] = d[j, i] = M[0]
     return d
 
 
 def write_vector(x: np.ndarray, path) -> None:
     """Write a vector one entry per line at 17 significant digits."""
-    v = np.asarray(x, dtype=np.float64).reshape(-1)
-    with open(path, "w") as f:
-        for entry in v:
-            f.write(f"{_FMT % entry}\n")
+    np.savetxt(path, np.asarray(x, dtype=np.float64).reshape(-1), fmt="%.17g")
 
 
 def read_vector(path) -> np.ndarray:
@@ -187,4 +146,3 @@ def read_vector(path) -> np.ndarray:
             except ValueError:
                 _fail(path, lineno, f"could not parse vector entry {s!r}")
     return np.array(vals, dtype=np.float64)
-

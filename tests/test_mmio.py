@@ -66,6 +66,21 @@ class TestMatrixRoundTrip:
             assert isinstance(B, np.ndarray) and B.flags.f_contiguous
             npt.assert_array_equal(B, A)
 
+    def test_dense_shapes(self, tmp_path):
+        # SciPy's reader stops the process on an array file with no rows.
+        path = tmp_path / "A.mtx"
+        for shape in [(2, 5), (0, 3), (3, 0), (0, 0)]:
+            A = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+            write_matrix_market(A, path)
+            B = read_matrix_market(path)
+            assert B.shape == shape and B.flags.f_contiguous
+            npt.assert_array_equal(B, A)
+
+    def test_writes_to_the_given_path(self, tmp_path):
+        path = tmp_path / "A.txt"
+        write_matrix_market(np.eye(2), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["A.txt"]
+
     def test_duplicate_entries_summed(self, tmp_path):
         path = tmp_path / "dup.mtx"
         path.write_text(
@@ -94,11 +109,17 @@ class TestMatrixErrors:
 
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "short.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix coordinate real general\n3 3 5\n1 1 1.0\n"
-        )
-        with pytest.raises(FileFormatError, match="5"):
-            read_matrix_market(path)
+        for text, match in [
+            ("%%MatrixMarket matrix coordinate real general\n3 3 5\n1 1 1.0\n", "5"),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 1.0\n",
+             r"short\.mtx:4: more than the declared 1"),
+            # 4 of the 6 lower-triangle entries of a 3 x 3 symmetric matrix
+            ("%%MatrixMarket matrix array real symmetric\n3 3\n" + "1.0\n" * 4,
+             r"short\.mtx:2: declared 6 entries but found 4"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(FileFormatError, match=match):
+                read_matrix_market(path)
 
     def test_index_out_of_range(self, tmp_path):
         path = tmp_path / "oob.mtx"
@@ -114,6 +135,12 @@ class TestMatrixErrors:
         with pytest.raises(FileFormatError, match=r"rect\.mtx:2: .*square"):
             read_matrix_market(path)
 
+    def test_symmetric_coordinate_not_square(self, tmp_path):
+        path = tmp_path / "rect.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 1.0\n")
+        with pytest.raises(FileFormatError, match=r"rect\.mtx:2: .*square"):
+            read_matrix_market(path)
+
     def test_symmetric_array_with_full_entries(self, tmp_path):
         # All 9 entries of a 3 x 3 matrix where the lower triangle's 6 belong;
         # the 7th entry, on line 9, is one too many.
@@ -122,11 +149,63 @@ class TestMatrixErrors:
         with pytest.raises(FileFormatError, match=r"full\.mtx:9: more than the declared 6"):
             read_matrix_market(path)
 
+    @pytest.mark.parametrize("fmt, body", [
+        ("coordinate", "2 2 2\n1 1 1.0\n% note\n2 2 1.0\n"),
+        ("array", "2 1\n1.0\n% note\n2.0\n"),
+    ])
+    def test_comment_among_entries(self, tmp_path, fmt, body):
+        # The format allows comments only before the size line.
+        path = tmp_path / "mid.mtx"
+        path.write_text(f"%%MatrixMarket matrix {fmt} real general\n" + body)
+        with pytest.raises(FileFormatError, match=r"mid\.mtx:4: "):
+            read_matrix_market(path)
+
+    def test_blank_line_among_entries_skipped(self, tmp_path):
+        path = tmp_path / "blank.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n\n2 2 3.0\n")
+        npt.assert_array_equal(read_matrix_market(path).toarray(), [[1.0, 0.0], [0.0, 3.0]])
+
     def test_missing_size_line(self, tmp_path):
         path = tmp_path / "empty.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n")
         with pytest.raises(FileFormatError):
             read_matrix_market(path)
+
+
+class TestEarlierLayout:
+    """Files as the earlier writer laid them out: ``%.17g`` values, no
+    comment line after the banner.  Bundles written then must still load
+    bit for bit."""
+
+    def test_coordinate(self, tmp_path):
+        path = tmp_path / "A.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n5 5 5\n"
+            + "".join(f"{k + 1} {5 - k} {v:.17g}\n" for k, v in enumerate(AWKWARD))
+        )
+        B = read_matrix_market(path)
+        assert B.format == "csr" and B.has_sorted_indices
+        npt.assert_array_equal(B.indices, [4, 3, 2, 1, 0])
+        assert B.data.tobytes() == AWKWARD.tobytes()  # the sign of -0.0 included
+
+    def _array(self, tmp_path):
+        A = np.column_stack([AWKWARD, AWKWARD[::-1]])
+        path = tmp_path / "A.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix array real general\n5 2\n"
+            + "".join(f"{v:.17g}\n" for v in A.ravel(order="F"))
+        )
+        return A, read_matrix_market(path)
+
+    def test_array(self, tmp_path):
+        A, B = self._array(tmp_path)
+        assert B.flags.f_contiguous and B.dtype == np.float64
+        npt.assert_array_equal(B, A)
+
+    @pytest.mark.xfail(strict=True, reason="scipy.io.mmread reads -0.0 in an array file as +0.0")
+    def test_array_negative_zero_sign(self, tmp_path):
+        A, B = self._array(tmp_path)
+        npt.assert_array_equal(np.signbit(B), np.signbit(A))
 
 
 class TestVectorRoundTrip:
