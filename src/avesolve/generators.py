@@ -12,8 +12,7 @@ A problem bundle is a directory holding ``manifest.json``, ``A.mtx``
 (Matrix Market; coordinate for sparse, array for dense), ``b.txt`` and
 optionally ``xstar.txt`` (one entry per line).  SciPy formats the matrix
 entries in their shortest round-trip form and the vectors are written at 17
-significant digits, so a round-trip reproduces the problem bit for bit, but
-for the sign of a negative zero in a dense matrix, which SciPy reads as +0.0.
+significant digits, so a round-trip reproduces the problem bit for bit.
 """
 
 from __future__ import annotations

@@ -2,17 +2,18 @@
 
 Sparse matrices travel as Matrix Market coordinate files, dense matrices as
 Matrix Market array files (column-major entry order), vectors as one entry
-per line.  SciPy's reader and writer (``scipy.io.mmread``/``mmwrite``)
-parse and format the matrix entries; values are written in the shortest
-form that round-trips, e.g. ``3.451248509317211E2``; a -0.0 in an array
-file reads as +0.0.  avesolve checks the banner and size line itself before
-SciPy reads the body, and every parse failure raises
-:class:`FileFormatError` naming the file and 1-based line.
+per line.  SciPy's writer (``scipy.io.mmwrite``) formats the matrix entries
+in the shortest form that round-trips, e.g. ``3.451248509317211E2``, and its
+reader (``scipy.io.mmread``) parses coordinate entries; array entries are
+parsed by NumPy, which keeps the sign of -0.0.  avesolve checks the banner,
+the size line and the grammar of every entry line itself, and every parse
+failure raises :class:`FileFormatError` naming the file and 1-based line.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import os
 import re
 
@@ -61,13 +62,26 @@ def write_matrix_market(A, path) -> None:
 # What the banner may declare after "%%MatrixMarket", in order.
 _SUPPORTED = (("matrix",), ("coordinate", "array"), ("real", "integer"), ("general", "symmetric"))
 
+# One pattern per (format, field) that finds the first body line holding
+# neither one entry nor only blanks.  SciPy's reader takes the longest number
+# at the start of a field and ignores what follows ("1.0abc" reads as 1.0,
+# "1.5" in an integer file as 1, a fourth field is dropped), so every body
+# is held to this grammar before any value is read.
+_VALUES = {"real": rb"-?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|(?i:inf(?:inity)?|nan))",
+           "integer": rb"-?\d+"}
+_BAD_LINE = {
+    (fmt, field): re.compile(rb"\n(?![ \t]*(?:%s%s[ \t]*)?\r?(?:\n|\Z))([^\n]*)" % (indices, value))
+    for fmt, indices in (("coordinate", rb"\d+[ \t]+\d+[ \t]+"), ("array", b""))
+    for field, value in _VALUES.items()
+}
+
 
 def _check_header(path, f):
-    """Check the banner, comments and size line of the open file ``f``;
-    return ``(fmt, symmetric, m, n, count, sizeno)``, where ``count`` is the
-    number of entries the body must hold.  SciPy trusts the header: given a
-    symmetric array header on a non-square size, it reads out of bounds."""
-    banner = f.readline()
+    """Check the banner, comments and size line of the binary stream ``f``;
+    return ``(fmt, field, symmetric, m, n, count, sizeno)``, where ``count``
+    is the number of entries the body must hold.  SciPy trusts the header:
+    given a symmetric header on a non-square size, it reads out of bounds."""
+    banner = f.readline().decode(errors="replace")
     header = banner.split()
     if len(header) != 5 or header[0] != "%%MatrixMarket":
         _fail(path, 1, f"malformed MatrixMarket header: {banner.strip()!r}")
@@ -77,10 +91,11 @@ def _check_header(path, f):
             _fail(path, 1, f"unsupported {value!r}, expected {' or '.join(allowed)}")
 
     sizeno, line = 2, f.readline()
-    while line.lstrip().startswith("%"):
+    while line.lstrip().startswith(b"%"):
         sizeno, line = sizeno + 1, f.readline()
     if not line:
         _fail(path, sizeno - 1, "missing size line")
+    line = line.decode(errors="replace")
     fields = "rows cols nnz" if fmt == "coordinate" else "rows cols"
     sizes = line.split()
     if len(sizes) != len(fields.split()) or not all(t.isdecimal() for t in sizes):
@@ -91,7 +106,7 @@ def _check_header(path, f):
     if symmetric and m != n:
         _fail(path, sizeno, f"symmetric matrix must be square, got {m} x {n}")
     count = nnz[0] if nnz else n * (n + 1) // 2 if symmetric else m * n
-    return fmt, symmetric, m, n, count, sizeno
+    return fmt, field, symmetric, m, n, count, sizeno
 
 
 def read_matrix_market(path):
@@ -99,17 +114,33 @@ def read_matrix_market(path):
     array files as column-major dense arrays, both float64.  A symmetric
     file holds the lower triangle: an array file its n (n + 1) / 2 entries
     column by column."""
-    with open(path) as f:
-        fmt, symmetric, m, n, count, sizeno = _check_header(path, f)
-        # SciPy does not count the entries of a symmetric array file (a short
-        # one reads as zeros) and stops the process on an array with no rows,
-        # so each array body goes to it as one general row of the declared
-        # length, on the line numbers it has in the file.
-        source = path if fmt == "coordinate" else io.StringIO(
-            "%%MatrixMarket matrix array real general\n" + "%\n" * (sizeno - 2)
-            + f"1 {count}\n" + f.read())
+    with open(path, "rb") as f:
+        data = f.read()
+    stream = io.BytesIO(data)
+    fmt, field, symmetric, m, n, count, sizeno = _check_header(path, stream)
+    start = stream.tell()
+    if bad := _BAD_LINE[fmt, field].search(data, start - 1):  # from the size line's newline
+        _fail(path, data.count(b"\n", 0, bad.start(1)) + 1,
+              f"not a {field} {fmt} entry: {bad[1].decode(errors='replace').strip()!r}")
+
+    if fmt == "array":
+        vals = np.array(data[start:].split(), dtype=np.float64)
+        if len(vals) > count:
+            extra = next(itertools.islice(re.compile(rb"\S+").finditer(data, start), count, None))
+            _fail(path, data.count(b"\n", 0, extra.start()) + 1,
+                  f"more than the declared {count} entries")
+        if len(vals) < count:
+            _fail(path, sizeno, f"declared {count} entries but found {len(vals)}")
+        if not symmetric:
+            return vals.reshape((n, m)).T
+        d = np.empty((n, n), order="F")
+        j, i = np.triu_indices(n)  # (i, j) walks the lower triangle column by column
+        d[i, j] = d[j, i] = vals
+        return d
+
+    stream.seek(0)
     try:
-        M = scipy.io.mmread(source)
+        M = scipy.io.mmread(stream)
     except (ValueError, OverflowError) as exc:
         message = str(exc)
         if at := re.match(r"Line (\d+): (.*)", message):
@@ -118,14 +149,7 @@ def read_matrix_market(path):
         if short := re.match(r"Truncated file\. Expected another (\d+) lines", message):
             _fail(path, sizeno, f"declared {count} entries but found {count - int(short[1])}")
         raise FileFormatError(f"{os.fspath(path)}: {message}")
-    if fmt == "coordinate":
-        return M.tocsr().astype(np.float64, copy=False)
-    if not symmetric:
-        return M[0].reshape((n, m)).T
-    d = np.empty((n, n), order="F")
-    j, i = np.triu_indices(n)  # (i, j) walks the lower triangle column by column
-    d[i, j] = d[j, i] = M[0]
-    return d
+    return M.tocsr().astype(np.float64, copy=False)
 
 
 def write_vector(x: np.ndarray, path) -> None:

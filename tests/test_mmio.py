@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -39,6 +41,12 @@ class TestMatrixRoundTrip:
         assert isinstance(B, np.ndarray)
         npt.assert_array_equal(B, A)
 
+    def test_dense_awkward_exact(self, tmp_path):
+        A = np.column_stack([AWKWARD, [np.inf, -np.inf, np.nan, 5e-324, -1.0]])
+        path = tmp_path / "A.mtx"
+        write_matrix_market(A, path)
+        assert read_matrix_market(path).tobytes(order="F") == A.tobytes(order="F")
+
     def test_header_declares_kind(self, tmp_path):
         path = tmp_path / "A.mtx"
         write_matrix_market(sp.eye(3, format="csr"), path)
@@ -67,7 +75,6 @@ class TestMatrixRoundTrip:
             npt.assert_array_equal(B, A)
 
     def test_dense_shapes(self, tmp_path):
-        # SciPy's reader stops the process on an array file with no rows.
         path = tmp_path / "A.mtx"
         for shape in [(2, 5), (0, 3), (3, 0), (0, 0)]:
             A = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
@@ -165,6 +172,33 @@ class TestMatrixErrors:
         path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n\n2 2 3.0\n")
         npt.assert_array_equal(read_matrix_market(path).toarray(), [[1.0, 0.0], [0.0, 3.0]])
 
+    @pytest.mark.parametrize("header, body, line", [
+        ("array real", "2 1\n1.0abc\n2.0\n", "1.0abc"),
+        ("array real", "2 1\n1.0\n1,5\n", "1,5"),
+        ("array real", "2 1\n0x1p3\n2.0\n", "0x1p3"),
+        ("array real", "2 1\n1.0 2.0\n", "1.0 2.0"),
+        ("coordinate real", "2 2 2\n1 1 1.0abc\n2 2 1.0\n", "1 1 1.0abc"),
+        ("coordinate real", "2 2 2\n1 1 1.0\n2 2 1.0 7\n", "2 2 1.0 7"),
+        ("coordinate real", "2 2 2\n1 1 +1.0\n2 2 1.0\n", "1 1 +1.0"),
+        ("coordinate integer", "2 2 2\n1 1 1.5\n2 2 1\n", "1 1 1.5"),
+        ("array integer", "2 1\n3\n1.5\n", "1.5"),
+    ], ids=["suffix", "comma", "hex", "two-values", "coordinate-suffix", "extra-field",
+            "plus-sign", "integer-fraction", "array-integer-fraction"])
+    def test_malformed_value(self, tmp_path, header, body, line):
+        # SciPy's reader alone would read each of these as some number.
+        path = tmp_path / "val.mtx"
+        path.write_text(f"%%MatrixMarket matrix {header} general\n" + body)
+        lineno = 2 + body.splitlines().index(line)
+        with pytest.raises(FileFormatError, match=rf"val\.mtx:{lineno}: .*{re.escape(repr(line))}"):
+            read_matrix_market(path)
+
+    def test_number_forms(self, tmp_path):
+        path = tmp_path / "num.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n3 2\n"
+                        "  .5\n5.\r\n-1E+02\t\n\nInfinity\n-inf\nnan")
+        B = read_matrix_market(path)
+        npt.assert_array_equal(B, [[0.5, np.inf], [5.0, -np.inf], [-100.0, np.nan]])
+
     def test_missing_size_line(self, tmp_path):
         path = tmp_path / "empty.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n")
@@ -188,24 +222,16 @@ class TestEarlierLayout:
         npt.assert_array_equal(B.indices, [4, 3, 2, 1, 0])
         assert B.data.tobytes() == AWKWARD.tobytes()  # the sign of -0.0 included
 
-    def _array(self, tmp_path):
+    def test_array(self, tmp_path):
         A = np.column_stack([AWKWARD, AWKWARD[::-1]])
         path = tmp_path / "A.mtx"
         path.write_text(
             "%%MatrixMarket matrix array real general\n5 2\n"
             + "".join(f"{v:.17g}\n" for v in A.ravel(order="F"))
         )
-        return A, read_matrix_market(path)
-
-    def test_array(self, tmp_path):
-        A, B = self._array(tmp_path)
+        B = read_matrix_market(path)
         assert B.flags.f_contiguous and B.dtype == np.float64
-        npt.assert_array_equal(B, A)
-
-    @pytest.mark.xfail(strict=True, reason="scipy.io.mmread reads -0.0 in an array file as +0.0")
-    def test_array_negative_zero_sign(self, tmp_path):
-        A, B = self._array(tmp_path)
-        npt.assert_array_equal(np.signbit(B), np.signbit(A))
+        assert B.tobytes(order="F") == A.tobytes(order="F")  # the sign of -0.0 included
 
 
 class TestVectorRoundTrip:
