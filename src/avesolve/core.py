@@ -191,20 +191,30 @@ def rho(G: GMatrix, e: np.ndarray) -> float:
 
 
 def theta_k(
-    p: AveProblem, G: GMatrix, gamma: float, xk: np.ndarray, x: np.ndarray
-) -> np.ndarray:
+    p: AveProblem, G: GMatrix, gamma: float, xk: np.ndarray, x: np.ndarray | None = None
+):
     """Linearized subproblem operator at outer iterate ``xk``:
 
     ``Theta_k(x) = 2 A x - 2 A xk + gamma rho(xk) G^{-1} (A xk - |xk| - b)``.
 
     The splitting step takes ``x^{k+1}`` to be (an approximation of) the
-    root of this affine map.
+    root of this affine map.  Returns ``Theta_k(x)``; without ``x``, returns
+    the map ``x -> Theta_k(x)`` itself, whose terms in ``xk`` are computed
+    once, so a solver testing many candidates in one step pays one product
+    with ``A`` per candidate.  Both give the same bits.
     """
     ek = residual(p, xk)
     if not np.any(ek):
         raise ZeroResidualError("theta_k: undefined at zero residual")
     rk = rho(G, ek)
-    return 2.0 * (p.A @ x) - 2.0 * (p.A @ xk) + (gamma * rk) * G.apply_inv(ek)
+    # Evaluated in the order of the formula above: (2 A x - 2 A xk) + shift.
+    axk2 = 2.0 * (p.A @ xk)
+    shift = (gamma * rk) * G.apply_inv(ek)
+
+    def step_map(y: np.ndarray) -> np.ndarray:
+        return 2.0 * (p.A @ y) - axk2 + shift
+
+    return step_map if x is None else step_map(x)
 
 
 class Regime(Enum):

@@ -15,7 +15,10 @@ departures from the textbook routine matter here:
   recurrence estimate ``phibar`` is at most twice the target;
 * breakdown reporting: a vanishing bidiagonalization vector before any
   stopping rule fires is reported as ``Breakdown`` rather than silently
-  treated as convergence.
+  treated as convergence;
+* basis recording: ``keep_basis = m`` returns the first ``m`` right
+  Lanczos vectors ``V`` and the lower bidiagonal ``B`` with
+  ``A V = U B``, from which a caller can extract Ritz vectors.
 
 The operator only needs ``shape``, ``matvec`` and ``rmatvec``; dense arrays
 and scipy sparse matrices are wrapped automatically.  Each iteration does
@@ -74,6 +77,8 @@ class LsqrResult:
     residual_norm: float
     stop_reason: LsqrStop
     trace: list[tuple[int, float]] = field(default_factory=list)
+    # (V, B) under keep_basis: V is n x j, B is (j + 1) x j, j = min(m, iterations).
+    basis: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class MatOperator:
@@ -127,6 +132,7 @@ def lsqr_solve(
     opts: LsqrOptions = LsqrOptions(),
     target: float | None = None,
     keep_trace: bool = True,
+    keep_basis: int = 0,
 ) -> LsqrResult:
     """Minimize ``||A x - rhs||`` starting from ``x0``.
 
@@ -141,6 +147,12 @@ def lsqr_solve(
     has been measured less than 1 % above it on the random problem family,
     so the factor of two leaves wide room and the gate does not move the
     stop.
+
+    ``keep_basis = m > 0`` records the first ``m`` Lanczos vectors
+    ``v_1 .. v_m`` of the run as the columns of ``V`` and the lower
+    bidiagonal ``B`` (``alpha_i`` on the diagonal, ``beta_{i+1}`` below it)
+    with ``A V = U B``, returned as ``basis``.  The singular values of ``B``
+    are Ritz values of ``A``.  Recording copies; the iterate does not move.
     """
     op = as_operator(A)
     matvec, rmatvec = op.matvec, op.rmatvec
@@ -161,14 +173,23 @@ def lsqr_solve(
     btol_floor = opts.btol * math.sqrt(rhs @ rhs)
     d = np.zeros(n)
     trace: list[tuple[int, float]] = []
+    keep_basis = min(keep_basis, opts.max_inner_iter)
+    if keep_basis > 0:
+        V = np.empty((n, keep_basis), order="F")
+        B = np.zeros((keep_basis + 1, keep_basis))
 
     def finish(iters: int, rnorm: float, reason: LsqrStop) -> LsqrResult:
+        basis = None
+        if keep_basis > 0:
+            j = min(iters, keep_basis)
+            basis = (V[:, :j], B[: j + 1, :j])
         return LsqrResult(
             solution=x_base + d,
             iterations=iters,
             residual_norm=rnorm,
             stop_reason=reason,
             trace=trace,
+            basis=basis,
         )
 
     beta = math.sqrt(r0 @ r0)
@@ -198,9 +219,15 @@ def lsqr_solve(
     # exactly like the textbook expression in its comment.  After a
     # breakdown v and w are never read again.
     for it in range(1, opts.max_inner_iter + 1):
+        record = it <= keep_basis
+        if record:
+            V[:, it - 1] = v
+            B[it - 1, it - 1] = alpha
         u *= alpha
         np.subtract(matvec(v), u, out=u)  # u = A v - alpha u
         beta = math.sqrt(u @ u)
+        if record:
+            B[it, it - 1] = beta
         broke = beta <= breakdown_floor
         if not broke:
             u /= beta

@@ -9,7 +9,10 @@ Seven methods behind one report type:
 * ``drs_inexact``: same step, but ``x^{k+1}`` only has to satisfy
   ``||Theta_k(x^{k+1})|| <= alpha_k ||e(x^k)||`` with ``Theta_k`` the affine
   subproblem map; the subproblem is solved matrix-free by warm-started LSQR
-  whose residual target enforces exactly that bound.
+  whose residual target enforces exactly that bound.  The inner solves of
+  one run share a :class:`Deflation` space of ``DEFLATION_K`` directions
+  harvested from their own Lanczos vectors, at a cost of at most
+  ``DEFLATION_BASIS + 3 DEFLATION_K = 220`` vectors of length n.
 * ``newton_exact``: generalized Newton step
   ``[A - diag(sign(x^k))] x^{k+1} = b``, refactored every iteration.
 * ``newton_inexact``: the same linear system solved by LSQR up to
@@ -39,6 +42,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .core import AveProblem, GMatrix, residual, rho, theta_k
@@ -78,6 +82,11 @@ ALPHA_MODES = ("heuristic", "theoretical")
 
 # Tightening retries granted to an inner LSQR solve before giving up.
 INNER_RETRY_LIMIT = 5
+
+# Directions in the deflation space of a drs_inexact run (0 turns recycling
+# off), and the Lanczos vectors an inner run records for the harvest.
+DEFLATION_K = 20
+DEFLATION_BASIS = 8 * DEFLATION_K
 
 Callback = Callable[[int, np.ndarray], None]
 
@@ -298,6 +307,90 @@ def _heuristic_alpha(k: int, k_max: int) -> float:
     return min(1.0, 1.0 / max(1, k - k_max))
 
 
+class Deflation:
+    """Recycled inner-solve space: directions ``Y`` with small ``||A y||``
+    and ``W = A Y`` with orthonormal columns, shared by the inner solves of
+    one run with the same ``A`` (augmented LSQR after Baglama, Reichel and
+    Richmond, Numer. Algorithms 64, 2013; recycling after Parks, de Sturler
+    et al., SIAM J. Sci. Comput. 28, 2006).
+
+    :meth:`solve` takes the ``Y`` components exactly and runs LSQR on
+    ``(I - W W^T) A``, whose smallest singular values are gone; every run
+    of at least ``2 k`` iterations then refreshes the space from its first
+    Lanczos vectors.  At most ``DEFLATION_BASIS + 3 k`` vectors of length
+    ``n`` are held at once: the recorded basis, ``Y``, ``W`` and ``k`` Ritz
+    vectors.
+    """
+
+    def __init__(self, A, k: int = DEFLATION_K, Y=None, W=None):
+        n = A.shape[1]
+        self.A = A
+        self.AT = AT = transposed(A)
+        self.k = k
+        self.Y = np.empty((n, 0)) if Y is None else np.asarray(Y, dtype=np.float64)
+        self.W = np.empty((n, 0)) if W is None else np.asarray(W, dtype=np.float64)
+        # The products of as_operator(A): with an empty space the run is plain
+        # warm-started LSQR, bit for bit.
+        self.op = MatOperator(A.shape, lambda v: A @ v, lambda u: AT @ u)
+
+    @property
+    def size(self) -> int:
+        return self.Y.shape[1]
+
+    def solve(self, rhs: np.ndarray, x: np.ndarray, opts: LsqrOptions, target: float):
+        """One inner run for ``A y = rhs`` from ``x``; returns the candidate
+        and the LSQR result.  With an empty space this is plain warm-started
+        LSQR.  Otherwise it starts at ``y0 = x + Y W^T r0`` and runs LSQR on
+        ``(I - W W^T) A`` from zero with right side ``(I - W W^T) r0'``,
+        where ``r0' = rhs - A y0``; the candidate
+        ``y0 + d + Y W^T (r0' - A d)`` has true residual
+        ``(I - W W^T)(r0' - A d)``, the residual LSQR stopped on, in exact
+        arithmetic."""
+        if self.size == 0:
+            res = lsqr_solve(self.op, rhs, x0=x, opts=opts, target=target, keep_trace=False,
+                             keep_basis=DEFLATION_BASIS)
+            cand = res.solution
+        else:
+            A, AT, Y, W, matvec = self.A, self.AT, self.Y, self.W, self.op.matvec
+
+            def project(u):
+                return u - W @ (W.T @ u)
+
+            deflated = MatOperator(A.shape, lambda v: project(A @ v), lambda u: AT @ project(u))
+            y0 = x + Y @ (W.T @ (rhs - matvec(x)))
+            r0 = rhs - matvec(y0)
+            res = lsqr_solve(deflated, project(r0), opts=opts, target=target, keep_trace=False,
+                             keep_basis=DEFLATION_BASIS)
+            d = res.solution
+            cand = y0 + d + Y @ (W.T @ (r0 - matvec(d)))
+        if res.iterations >= 2 * self.k:
+            self._harvest(res)
+        res.basis = None
+        return cand, res
+
+    def _harvest(self, res) -> None:
+        """Rayleigh-Ritz with ``A`` on ``Y`` and the ``k`` smallest Ritz
+        vectors of the run: keep the ``k`` directions of smallest
+        ``||A y||``."""
+        V, B = res.basis
+        res.basis = None
+        a, b = np.diag(B), np.diag(B, -1)
+        # B^T B is tridiagonal; its eigenvectors map through V to Ritz vectors.
+        _, S = scipy.linalg.eigh_tridiagonal(
+            a * a + b * b, b[:-1] * a[1:], select="i", select_range=(0, self.k - 1)
+        )
+        Z = V @ S
+        del V
+        Q = scipy.linalg.qr(np.hstack([self.Y, Z]), mode="economic")[0]
+        del Z
+        U, s, Ht = scipy.linalg.svd(self.A @ Q, full_matrices=False)
+        # s is descending; an exact zero (A singular on span Q) cannot be kept.
+        hi = int(np.count_nonzero(s))
+        lo = max(hi - self.k, 0)
+        self.Y = (Q @ Ht[lo:hi].T) / s[lo:hi]
+        self.W = U[:, lo:hi].copy()
+
+
 def _solve_to_criterion(
     op: MatOperator,
     rhs: np.ndarray,
@@ -307,6 +400,7 @@ def _solve_to_criterion(
     max_inner: int,
     what: str,
     op_norm_hint: float = 0.0,
+    space: Deflation | None = None,
 ):
     """Warm-started LSQR runs until ``accepts`` passes on the returned
     candidate, halving the residual target between attempts.
@@ -316,7 +410,9 @@ def _solve_to_criterion(
     residual (one extra matvec) only on iterations where its recurrence
     estimate ``phibar`` is at most twice the target; ``phibar`` tracks the
     true residual far closer than that factor, so the skipped iterations
-    are ones that could not have stopped.
+    are ones that could not have stopped.  With a deflation ``space`` (for
+    ``op`` the operator of the space's ``A``) each run goes through
+    :meth:`Deflation.solve`, which both uses and refreshes the space.
 
     A candidate whose true residual has reached the roundoff scale of the
     system, ``16 eps (||op|| ||x|| + ||rhs||)``, is accepted even when the
@@ -324,7 +420,10 @@ def _solve_to_criterion(
     iterative, can certify a residual below that scale, so the candidate
     already is an exact solve for every representable purpose.
     ``op_norm_hint`` supplies the operator norm for that scale; zero
-    disables the roundoff escape.
+    disables the roundoff escape.  A candidate of a first attempt that was
+    deflated does not take the escape: its ``Y W^T`` corrections leave
+    rounding errors of that scale in the residual without a single LSQR
+    iteration spent on them, and one retry removes them.
     """
     opts = LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=max_inner)
     inner_total = 0
@@ -332,24 +431,29 @@ def _solve_to_criterion(
     target = lsqr_target
     rhs_norm = norm2(rhs)
     eps = float(np.finfo(np.float64).eps)
-    for _ in range(INNER_RETRY_LIMIT + 1):
-        res = lsqr_solve(
-            op,
-            rhs,
-            x0=x_warm,
-            opts=opts,
-            target=target,
-            keep_trace=False,
-        )
+    deflated_first = space is not None and space.size > 0
+    for attempt in range(INNER_RETRY_LIMIT + 1):
+        if space is None:
+            res = lsqr_solve(
+                op,
+                rhs,
+                x0=x_warm,
+                opts=opts,
+                target=target,
+                keep_trace=False,
+            )
+            cand = res.solution
+        else:
+            cand, res = space.solve(rhs, x_warm, opts, target)
         inner_total += res.iterations
-        if accepts(res.solution):
-            return res.solution, inner_total
-        if op_norm_hint > 0.0:
-            rn = norm2(rhs - op.matvec(res.solution))
-            floor = 16.0 * eps * (op_norm_hint * norm2(res.solution) + rhs_norm)
+        if accepts(cand):
+            return cand, inner_total
+        if op_norm_hint > 0.0 and not (attempt == 0 and deflated_first):
+            rn = norm2(rhs - op.matvec(cand))
+            floor = 16.0 * eps * (op_norm_hint * norm2(cand) + rhs_norm)
             if rn <= floor:
-                return res.solution, inner_total
-        x_warm = res.solution
+                return cand, inner_total
+        x_warm = cand
         target *= 0.5
     raise InnerSolverStallError(
         f"{what}: LSQR could not reach the acceptance criterion within "
@@ -380,7 +484,8 @@ def drs_inexact(
         return drs_exact(p, cfg, x0, callback)
 
     def make_step():
-        op = as_operator(p.A)
+        space = Deflation(p.A) if DEFLATION_K > 0 else None
+        op = as_operator(p.A) if space is None else space.op
         max_inner = cfg.inner_max_iter if cfg.inner_max_iter is not None else 10 * p.n
         theoretical = cfg.alpha_mode == "theoretical"
         if theoretical:
@@ -406,13 +511,14 @@ def drs_inexact(
             # ||Theta_k|| <= alpha ||e|| maps to a residual target alpha ||e|| / 2.
             rhs = p.A @ x - coef * z
             bound = alpha * en
+            theta = theta_k(p, cfg.G, cfg.gamma, x)
 
             def accepts(cand: np.ndarray) -> bool:
-                return norm2(theta_k(p, cfg.G, cfg.gamma, x, cand)) <= bound
+                return norm2(theta(cand)) <= bound
 
             sol, inner = _solve_to_criterion(
                 op, rhs, x, 0.5 * bound, accepts, max_inner, "drs_inexact",
-                op_norm_hint=a_norm,
+                op_norm_hint=a_norm, space=space,
             )
             return sol, inner
 

@@ -144,6 +144,24 @@ class TestThetaK:
         expected = gamma * rho(G, e) * G.apply_inv(e)
         npt.assert_allclose(theta_k(p, G, gamma, xk, xk), expected, rtol=1e-13)
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_step_map_bit_equal(self, sparse):
+        """The per-step map gives the bits of the one-shot formula
+        ``2 A x - 2 A xk + (gamma rho) G^-1 e(xk)``, evaluated left to right."""
+        p, rng = random_problem(23, n=15)
+        if sparse:
+            p = AveProblem(sp.csr_matrix(p.A), p.b)
+        G = GMatrix.diagonal(rng.uniform(0.5, 2.0, 15))
+        gamma = 1.98
+        xk = rng.uniform(-3.0, 3.0, 15)
+        step_map = theta_k(p, G, gamma, xk)
+        ek = residual(p, xk)
+        for _ in range(3):
+            x = rng.uniform(-3.0, 3.0, 15)
+            expected = 2.0 * (p.A @ x) - 2.0 * (p.A @ xk) + (gamma * rho(G, ek)) * G.apply_inv(ek)
+            npt.assert_array_equal(step_map(x), expected)
+            npt.assert_array_equal(theta_k(p, G, gamma, xk, x), expected)
+
 
 class TestMonotonicityInequalities:
     @settings(deadline=None, max_examples=20)

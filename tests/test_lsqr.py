@@ -226,6 +226,43 @@ class TestProductCounts:
         assert counts["matvec"] < 2 * res.iterations
 
 
+class TestKeepBasis:
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_recording_leaves_solution_bit_identical(self, warm):
+        rng = np.random.default_rng(17)
+        A = conditioned_system(rng, 50, 1e3)
+        rhs = rng.standard_normal(50)
+        x0 = rng.standard_normal(50) if warm else None
+        kw = dict(x0=x0, opts=LsqrOptions(atol=0.0, btol=0.0), target=1e-9 * norm2(rhs))
+        plain = lsqr_solve(A, rhs, **kw)
+        for m in (5, plain.iterations, plain.iterations + 40):
+            kept = lsqr_solve(A, rhs, keep_basis=m, **kw)
+            npt.assert_array_equal(kept.solution, plain.solution)
+            assert kept.iterations == plain.iterations
+            assert kept.residual_norm == plain.residual_norm
+            V, B = kept.basis
+            j = min(m, plain.iterations)
+            assert V.shape == (50, j) and B.shape == (j + 1, j)
+        assert plain.basis is None
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ritz_values_inside_singular_range(self, seed):
+        """The singular values of B are Ritz values of A: inside
+        [sigma_min(A), ||A||] up to rounding, even after the Lanczos vectors
+        have lost orthogonality."""
+        rng = np.random.default_rng(18 + seed)
+        A = conditioned_system(rng, 60, 300.0)
+        rhs = rng.standard_normal(60)
+        res = lsqr_solve(A, rhs, opts=LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=80),
+                         keep_basis=80)
+        V, B = res.basis
+        assert V.shape == (60, 80) and B.shape == (81, 80)
+        sv = np.linalg.svd(A, compute_uv=False)
+        ritz = np.linalg.svd(B, compute_uv=False)
+        assert ritz.min() >= sv[-1] * (1.0 - 1e-8)
+        assert ritz.max() <= sv[0] * (1.0 + 1e-8)
+
+
 class TestOperatorAndOptions:
     def test_matrix_free_operator(self):
         rng = np.random.default_rng(12)
