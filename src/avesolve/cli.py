@@ -7,7 +7,8 @@ profile curves.
 
 ``solve`` exit codes: 0 converged, 2 diverged, 3 iteration limit,
 4 singular system, 5 solver error (undefined theta, inner solver stall),
-1 input errors.  A JSON file given through ``--config`` overrides any
+6 stagnated (the next step would return the iterate unchanged), 1 input
+errors.  A JSON file given through ``--config`` overrides any
 flags it names.
 """
 
@@ -49,12 +50,14 @@ EXIT_DIVERGED = 2
 EXIT_MAX_ITER = 3
 EXIT_SINGULAR = 4
 EXIT_SOLVER_ERROR = 5
+EXIT_STAGNATED = 6
 
 _STATUS_EXIT = {
     SolveStatus.CONVERGED: EXIT_OK,
     SolveStatus.DIVERGED: EXIT_DIVERGED,
     SolveStatus.MAX_ITER_REACHED: EXIT_MAX_ITER,
     SolveStatus.SINGULAR_SYSTEM: EXIT_SINGULAR,
+    SolveStatus.STAGNATED: EXIT_STAGNATED,
 }
 
 # SolverConfig fields with one flag and one --config key each; G comes from --g-diag.

@@ -1,7 +1,7 @@
 """LSQR iteration for least-squares and square linear systems.
 
 Implements the Golub-Kahan bidiagonalization with QR factorization by
-Givens rotations, after Paige and Saunders, ACM TOMS 8(1), 1982.  Three
+Givens rotations, after Paige and Saunders, ACM TOMS 8(1), 1982.  Six
 departures from the textbook routine matter here:
 
 * warm start: with a nonzero ``x0`` the iteration runs on the shifted
@@ -13,6 +13,13 @@ departures from the textbook routine matter here:
   exactly instead of through atol/btol proxies.  The true residual costs
   one extra matvec and is recomputed only on iterations where the
   recurrence estimate ``phibar`` is at most twice the target;
+* roundoff stop: when that recomputed residual is still above the target
+  but ``phibar`` has fallen below half of it, the recurrence has left the
+  true residual behind and further iterations move the iterate only by
+  rounding, so the run stops with ``Roundoff``;
+* resumable runs: a result carries the state of its Golub-Kahan process,
+  and ``resume = result`` continues that process to a new target exactly
+  as one longer run would have gone on;
 * breakdown reporting: a vanishing bidiagonalization vector before any
   stopping rule fires is reported as ``Breakdown`` rather than silently
   treated as convergence;
@@ -39,6 +46,7 @@ __all__ = [
     "LsqrStop",
     "LsqrOptions",
     "LsqrResult",
+    "LsqrState",
     "MatOperator",
     "as_operator",
     "lsqr_solve",
@@ -53,6 +61,7 @@ class LsqrStop(Enum):
     RESIDUAL_TOL = "ResidualTol"
     MAX_ITER = "MaxIter"
     BREAKDOWN = "Breakdown"
+    ROUNDOFF = "Roundoff"
 
 
 @dataclass(frozen=True)
@@ -71,6 +80,26 @@ class LsqrOptions:
 
 
 @dataclass
+class LsqrState:
+    """Where a Golub-Kahan process stands after its last iteration: the
+    iterate is ``x_base + d``, ``u`` and ``v`` are the current
+    bidiagonalization vectors, ``w`` the next search direction, and
+    ``alpha``, ``phibar``, ``rhobar`` and ``anorm_sq`` the recurrence
+    scalars.  Resuming updates the arrays in place."""
+
+    x_base: np.ndarray
+    d: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    alpha: float
+    phibar: float
+    rhobar: float
+    anorm_sq: float
+    breakdown_floor: float
+
+
+@dataclass
 class LsqrResult:
     solution: np.ndarray
     iterations: int
@@ -79,6 +108,9 @@ class LsqrResult:
     trace: list[tuple[int, float]] = field(default_factory=list)
     # (V, B) under keep_basis: V is n x j, B is (j + 1) x j, j = min(m, iterations).
     basis: tuple[np.ndarray, np.ndarray] | None = None
+    # The process to continue with lsqr_solve(resume=...); None once it broke
+    # down, stopped at Roundoff, was resumed, or never started.
+    state: LsqrState | None = None
 
 
 class MatOperator:
@@ -133,6 +165,7 @@ def lsqr_solve(
     target: float | None = None,
     keep_trace: bool = True,
     keep_basis: int = 0,
+    resume: LsqrResult | None = None,
 ) -> LsqrResult:
     """Minimize ``||A x - rhs||`` starting from ``x0``.
 
@@ -146,7 +179,18 @@ def lsqr_solve(
     equals the true residual in exact arithmetic; in double precision it
     has been measured less than 1 % above it on the random problem family,
     so the factor of two leaves wide room and the gate does not move the
-    stop.
+    stop.  A recomputed residual above ``target`` with ``phibar`` below half
+    of it stops the run with ``Roundoff`` and reports that residual: the
+    two have parted by rounding, and the true residual no longer follows
+    the recurrence down.
+
+    ``resume = r`` continues the process of an earlier result ``r`` on the
+    same ``A`` and ``rhs`` (``x0`` is not given) under this call's
+    ``opts`` and ``target``; ``r.state`` is consumed.  Its iterates are
+    those of one run that had not stopped, bit for bit, and
+    ``iterations``, the trace and ``max_inner_iter`` count this call's
+    iterations only.  The target is first checked, as in the loop, at the
+    iterate ``r`` stopped on.
 
     ``keep_basis = m > 0`` records the first ``m`` Lanczos vectors
     ``v_1 .. v_m`` of the run as the columns of ``V`` and the lower
@@ -161,28 +205,25 @@ def lsqr_solve(
     if rhs.shape[0] != m:
         raise ValueError(f"lsqr_solve: rhs length {rhs.shape[0]} != {m} rows")
 
-    if x0 is None:
-        x_base = np.zeros(n)
-        r0 = rhs.copy()
-    else:
-        x_base = np.asarray(x0, dtype=np.float64).reshape(-1).copy()
-        if x_base.shape[0] != n:
-            raise ValueError(f"lsqr_solve: x0 length {x_base.shape[0]} != {n} columns")
-        r0 = rhs - matvec(x_base)
-
     btol_floor = opts.btol * math.sqrt(rhs @ rhs)
-    d = np.zeros(n)
     trace: list[tuple[int, float]] = []
     keep_basis = min(keep_basis, opts.max_inner_iter)
     if keep_basis > 0:
         V = np.empty((n, keep_basis), order="F")
         B = np.zeros((keep_basis + 1, keep_basis))
+    check_below = -math.inf if target is None else 2.0 * target
+    started = broke = alpha_broke = False
 
     def finish(iters: int, rnorm: float, reason: LsqrStop) -> LsqrResult:
         basis = None
         if keep_basis > 0:
             j = min(iters, keep_basis)
             basis = (V[:, :j], B[: j + 1, :j])
+        state = None
+        if (started and not (broke or alpha_broke)
+                and reason in (LsqrStop.RESIDUAL_TOL, LsqrStop.MAX_ITER)):
+            state = LsqrState(x_base, d, u, v, w, alpha, phibar, rhobar, anorm_sq,
+                              breakdown_floor)
         return LsqrResult(
             solution=x_base + d,
             iterations=iters,
@@ -190,30 +231,64 @@ def lsqr_solve(
             stop_reason=reason,
             trace=trace,
             basis=basis,
+            state=state,
         )
 
-    beta = math.sqrt(r0 @ r0)
-    if keep_trace:
-        trace.append((0, beta))
-    if target is not None and beta <= target:
-        return finish(0, beta, LsqrStop.RESIDUAL_TOL)
-    if beta <= btol_floor:
-        return finish(0, beta, LsqrStop.RESIDUAL_TOL)
+    if resume is not None:
+        if x0 is not None:
+            raise ValueError("lsqr_solve: a resumed run continues its own iterate; drop x0")
+        st = resume.state
+        if st is None:
+            raise ValueError(
+                f"lsqr_solve: the run stopped with {resume.stop_reason.value} and cannot resume"
+            )
+        resume.state = None
+        if st.x_base.shape[0] != n:
+            raise ValueError(f"lsqr_solve: resumed iterate length {st.x_base.shape[0]} != {n}")
+        x_base, d, u, v, w = st.x_base, st.d, st.u, st.v, st.w
+        alpha, phibar, rhobar, anorm_sq = st.alpha, st.phibar, st.rhobar, st.anorm_sq
+        breakdown_floor = st.breakdown_floor
+        started = True
+        if keep_trace:
+            trace.append((0, phibar))
+        if phibar <= check_below:
+            r = rhs - matvec(x_base + d)
+            rtrue = math.sqrt(r @ r)
+            if rtrue <= target:
+                return finish(0, rtrue, LsqrStop.RESIDUAL_TOL)
+    else:
+        if x0 is None:
+            x_base = np.zeros(n)
+            r0 = rhs.copy()
+        else:
+            x_base = np.asarray(x0, dtype=np.float64).reshape(-1).copy()
+            if x_base.shape[0] != n:
+                raise ValueError(f"lsqr_solve: x0 length {x_base.shape[0]} != {n} columns")
+            r0 = rhs - matvec(x_base)
+        d = np.zeros(n)
 
-    breakdown_floor = BREAKDOWN_RTOL * beta
-    u = r0 / beta
-    v = rmatvec(u)
-    alpha = math.sqrt(v @ v)
-    if alpha <= breakdown_floor:
-        # rhs - A x0 is orthogonal to the range of A: nothing to improve.
-        return finish(0, beta, LsqrStop.BREAKDOWN)
-    v = v / alpha
+        beta = math.sqrt(r0 @ r0)
+        if keep_trace:
+            trace.append((0, beta))
+        if target is not None and beta <= target:
+            return finish(0, beta, LsqrStop.RESIDUAL_TOL)
+        if beta <= btol_floor:
+            return finish(0, beta, LsqrStop.RESIDUAL_TOL)
 
-    w = v.copy()
-    phibar = beta
-    rhobar = alpha
-    anorm_sq = alpha * alpha
-    check_below = -math.inf if target is None else 2.0 * target
+        breakdown_floor = BREAKDOWN_RTOL * beta
+        u = r0 / beta
+        v = rmatvec(u)
+        alpha = math.sqrt(v @ v)
+        if alpha <= breakdown_floor:
+            # rhs - A x0 is orthogonal to the range of A: nothing to improve.
+            return finish(0, beta, LsqrStop.BREAKDOWN)
+        v = v / alpha
+
+        w = v.copy()
+        phibar = beta
+        rhobar = alpha
+        anorm_sq = alpha * alpha
+        started = True
 
     # u, v, w and d are updated in place; each in-place sequence rounds
     # exactly like the textbook expression in its comment.  After a
@@ -264,6 +339,8 @@ def lsqr_solve(
             rtrue = math.sqrt(r @ r)
             if rtrue <= target:
                 return finish(it, rtrue, LsqrStop.RESIDUAL_TOL)
+            if phibar < 0.5 * rtrue:
+                return finish(it, rtrue, LsqrStop.ROUNDOFF)
         stop_below = btol_floor
         if opts.atol > 0.0:
             x = x_base + d

@@ -17,7 +17,8 @@ Seven methods behind one report type:
   ``[A - diag(sign(x^k))] x^{k+1} = b``, refactored every iteration.
 * ``newton_inexact``: the same linear system solved by LSQR up to
   ``||r_k|| <= theta ||e(x^k)||``, where ``theta`` is either supplied or
-  derived from norm estimates of ``A`` (undefined when ``||A^{-1}|| >= 1/3``).
+  derived from norm estimates of ``A`` (undefined when ``||A^{-1}|| >= 1/3``);
+  consecutive steps with one sign pattern continue one LSQR run.
 * ``sor_like``: the two-sequence relaxation
   ``x^{k+1} = (1-omega) x^k + omega A^{-1}(y^k + b)``,
   ``y^{k+1} = (1-omega) y^k + omega |x^{k+1}|``.
@@ -28,7 +29,9 @@ Seven methods behind one report type:
 
 Every solver stops when ``||e(x^k)|| <= epsilon``, declares divergence when
 ``||x^k||`` reaches ``divergence_threshold``, and otherwise gives up at
-``max_iter`` steps.  A singular linear system surfaces as a report status,
+``max_iter`` steps; the two Newton methods also stop as ``STAGNATED`` once
+the sign pattern has settled and its linear solve cannot move ``x^k``
+any further.  A singular linear system surfaces as a report status,
 not an exception, so batch drivers can keep going.
 """
 
@@ -57,7 +60,7 @@ from .linalg import (
     sign_diag,
     transposed,
 )
-from .lsqr import LsqrOptions, MatOperator, as_operator, lsqr_solve
+from .lsqr import LsqrOptions, LsqrStop, MatOperator, as_operator, lsqr_solve
 
 __all__ = [
     "Method",
@@ -106,6 +109,7 @@ class SolveStatus(Enum):
     MAX_ITER_REACHED = "MaxIterReached"
     DIVERGED = "Diverged"
     SINGULAR_SYSTEM = "SingularSystem"
+    STAGNATED = "Stagnated"
 
 
 class ThetaUndefinedError(Exception):
@@ -114,6 +118,10 @@ class ThetaUndefinedError(Exception):
 
 class InnerSolverStallError(Exception):
     """LSQR could not reach the inner acceptance criterion."""
+
+
+class _Stagnation(Exception):
+    """Raised by a step that cannot move its iterate any further."""
 
 
 @dataclass(frozen=True)
@@ -261,6 +269,9 @@ def _drive(
         except SingularMatrixError:
             status = SolveStatus.SINGULAR_SYSTEM
             break
+        except _Stagnation:
+            status = SolveStatus.STAGNATED
+            break
         k += 1
         e = residual(p, x)
         en = norm2(e)
@@ -391,6 +402,36 @@ class Deflation:
         self.W = U[:, lo:hi].copy()
 
 
+class ContinuedRun:
+    """One LSQR run on a fixed operator ``op``, continued across inner
+    solves of the same linear system.
+
+    :meth:`solve` resumes the run while it can, and otherwise starts a
+    fresh one from the ``x`` it is given.  A resumed run ignores ``x``:
+    callers hand back the candidate of the previous solve, which is the
+    run's current iterate.  A run that stopped at ``Roundoff`` is not
+    resumed; :attr:`exhausted` says so.
+    """
+
+    def __init__(self, op: MatOperator):
+        self.op = op
+        self.res = None
+
+    @property
+    def exhausted(self) -> bool:
+        return self.res is not None and self.res.stop_reason is LsqrStop.ROUNDOFF
+
+    def solve(self, rhs: np.ndarray, x: np.ndarray, opts: LsqrOptions, target: float):
+        """The next candidate for ``op y = rhs`` and its LSQR result."""
+        if self.res is not None and self.res.state is not None:
+            res = lsqr_solve(self.op, rhs, opts=opts, target=target, keep_trace=False,
+                             resume=self.res)
+        else:
+            res = lsqr_solve(self.op, rhs, x0=x, opts=opts, target=target, keep_trace=False)
+        self.res = res
+        return res.solution, res
+
+
 def _solve_to_criterion(
     op: MatOperator,
     rhs: np.ndarray,
@@ -400,7 +441,7 @@ def _solve_to_criterion(
     max_inner: int,
     what: str,
     op_norm_hint: float = 0.0,
-    space: Deflation | None = None,
+    space: Deflation | ContinuedRun | None = None,
 ):
     """Warm-started LSQR runs until ``accepts`` passes on the returned
     candidate, halving the residual target between attempts.
@@ -410,9 +451,11 @@ def _solve_to_criterion(
     residual (one extra matvec) only on iterations where its recurrence
     estimate ``phibar`` is at most twice the target; ``phibar`` tracks the
     true residual far closer than that factor, so the skipped iterations
-    are ones that could not have stopped.  With a deflation ``space`` (for
-    ``op`` the operator of the space's ``A``) each run goes through
-    :meth:`Deflation.solve`, which both uses and refreshes the space.
+    are ones that could not have stopped.  With a ``space`` (for ``op`` the
+    operator of its system) each attempt goes through its ``solve`` instead:
+    :meth:`Deflation.solve` both uses and refreshes a deflation space, and
+    :meth:`ContinuedRun.solve` continues one LSQR run where the previous
+    attempt, or the previous solve of the same system, stopped.
 
     A candidate whose true residual has reached the roundoff scale of the
     system, ``16 eps (||op|| ||x|| + ||rhs||)``, is accepted even when the
@@ -431,7 +474,7 @@ def _solve_to_criterion(
     target = lsqr_target
     rhs_norm = norm2(rhs)
     eps = float(np.finfo(np.float64).eps)
-    deflated_first = space is not None and space.size > 0
+    deflated_first = isinstance(space, Deflation) and space.size > 0
     for attempt in range(INNER_RETRY_LIMIT + 1):
         if space is None:
             res = lsqr_solve(
@@ -537,13 +580,22 @@ def newton_exact(
 
     Banded sparse ``A`` is refactored in band storage, O(n bandwidth) per
     step; any other ``A`` is widened once and copied for each dense LU.
+    An unconverged iterate with the sign pattern of the previous one ends
+    the run as ``STAGNATED``: the next step would solve the same system
+    and return it bit for bit.
     """
 
     def make_step():
         A = lu_operand(p.A)
+        prev = None
 
         def step(x, k, e, en):
-            return lu_solve(lu_factor(A, shift=sign_diag(x)), p.b), 0
+            nonlocal prev
+            s = sign_diag(x)
+            if prev is not None and np.array_equal(s, prev):
+                raise _Stagnation
+            prev = s
+            return lu_solve(lu_factor(A, shift=s), p.b), 0
 
         return step
 
@@ -589,6 +641,14 @@ def newton_inexact(
     ``theta = 0`` leaves no inexactness budget and delegates to
     :func:`newton_exact`.  Steps whose bound falls below the roundoff
     scale of the linear system are solved to roundoff and accepted.
+
+    Consecutive steps with the same sign pattern solve the same system, and
+    ``x^k`` is the iterate the previous step's LSQR run stopped on, so such
+    a step resumes that run (:class:`ContinuedRun`) at the new target
+    instead of starting a Krylov space from scratch; a changed pattern
+    starts a fresh run from ``x^k``.  A run that stopped at ``Roundoff``
+    has gone as far as double precision takes that system, so an
+    unconverged step with its pattern ends the solve as ``STAGNATED``.
     """
     theta, norm_A = _newton_theta(p, cfg)
     if theta == 0.0:
@@ -600,24 +660,29 @@ def newton_inexact(
         # ||A - diag(sign(x))|| <= ||A|| + 1, a tight enough scale here; a
         # derived theta comes with its ||A|| estimate.
         jac_norm = (norm_A if norm_A is not None else matrix_norm2_estimate(p.A, tol=1e-6)) + 1.0
+        run, prev = None, None
 
         def step(x, k, e, en):
+            nonlocal run, prev
             s = sign_diag(x)
-            op = MatOperator(
-                p.A.shape,
-                lambda v: p.A @ v - s * v,
-                lambda v: AT @ v - s * v,
-            )
+            if prev is None or not np.array_equal(s, prev):
+                run = ContinuedRun(MatOperator(
+                    p.A.shape,
+                    lambda v: p.A @ v - s * v,
+                    lambda v: AT @ v - s * v,
+                ))
+                prev = s
+            elif run.exhausted:
+                raise _Stagnation
             bound = theta * en
 
             def accepts(cand: np.ndarray) -> bool:
                 return norm2(p.A @ cand - s * cand - p.b) <= bound
 
-            sol, inner = _solve_to_criterion(
-                op, p.b, x, bound, accepts, max_inner, "newton_inexact",
-                op_norm_hint=jac_norm,
+            return _solve_to_criterion(
+                run.op, p.b, x, bound, accepts, max_inner, "newton_inexact",
+                op_norm_hint=jac_norm, space=run,
             )
-            return sol, inner
 
         return step
 

@@ -117,6 +117,15 @@ class TestSolve:
         assert code == 5
         assert "theta" in capsys.readouterr().err.lower()
 
+    def test_stagnated_exit(self, tridiag_bundle, capsys):
+        # No double-precision iterate has a residual of 1e-300 on this system.
+        code = main(
+            ["solve", "--problem", str(tridiag_bundle), "--method", "inexact-newton",
+             "--eps", "1e-300"]
+        )
+        assert code == 6
+        assert "Stagnated" in capsys.readouterr().out
+
     def test_missing_bundle_exit(self, tmp_path):
         code = main(
             ["solve", "--problem", str(tmp_path / "absent"), "--method", "drs"]

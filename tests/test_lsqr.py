@@ -263,6 +263,68 @@ class TestKeepBasis:
         assert ritz.max() <= sv[0] * (1.0 + 1e-8)
 
 
+class TestResume:
+    @pytest.mark.parametrize("first_stop", ["target", "max_iter"])
+    def test_resumed_run_is_one_run(self, first_stop):
+        rng = np.random.default_rng(20)
+        A = conditioned_system(rng, 50, 1e2)
+        rhs = rng.standard_normal(50)
+        x0 = rng.standard_normal(50)
+        opts = LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=500)
+        target = 1e-9 * norm2(rhs)
+        one = lsqr_solve(A, rhs, x0=x0, opts=opts, target=target)
+        if first_stop == "target":
+            part = lsqr_solve(A, rhs, x0=x0, opts=opts, target=1e-3 * norm2(rhs))
+        else:
+            short = LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=20)
+            part = lsqr_solve(A, rhs, x0=x0, opts=short, target=target)
+        assert 0 < part.iterations < one.iterations
+        rest = lsqr_solve(A, rhs, opts=opts, target=target, resume=part)
+        npt.assert_array_equal(rest.solution, one.solution)
+        assert part.iterations + rest.iterations == one.iterations
+        assert rest.residual_norm == one.residual_norm
+        assert rest.stop_reason is LsqrStop.RESIDUAL_TOL
+        # The state moved on with the resumed run.
+        assert part.state is None and rest.state is not None
+        with pytest.raises(ValueError, match="cannot resume"):
+            lsqr_solve(A, rhs, opts=opts, resume=part)
+        with pytest.raises(ValueError, match="x0"):
+            lsqr_solve(A, rhs, x0=x0, opts=opts, resume=rest)
+
+    def test_breakdown_is_not_resumable(self):
+        res = lsqr_solve(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([0.0, 1.0]))
+        assert res.stop_reason is LsqrStop.BREAKDOWN
+        assert res.state is None
+
+
+class TestRoundoffStop:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_never_fires_on_reachable_targets(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        A = conditioned_system(rng, 40, 1e4)
+        rhs = rng.standard_normal(40)
+        x0 = rng.standard_normal(40)
+        opts = LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=400)
+        for rel in np.geomspace(1e-1, 1e-9, 9):
+            res = lsqr_solve(A, rhs, x0=x0, opts=opts, target=rel * norm2(rhs))
+            assert res.stop_reason is LsqrStop.RESIDUAL_TOL
+
+    @pytest.mark.parametrize("rel", [0.1 * np.finfo(float).eps, 1e-20])
+    def test_fires_soon_on_unreachable_target(self, rel):
+        rng = np.random.default_rng(40)
+        A = conditioned_system(rng, 20, 10.0)
+        rhs = rng.standard_normal(20)
+        opts = LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=200)
+        res = lsqr_solve(A, rhs, opts=opts, target=rel * norm2(rhs))
+        assert res.stop_reason is LsqrStop.ROUNDOFF
+        assert res.iterations <= 50
+        true = norm2(rhs - A @ res.solution)
+        assert res.residual_norm == pytest.approx(true, rel=1e-12)
+        eps = np.finfo(float).eps
+        assert true <= 100 * eps * (10.0 * norm2(res.solution) + norm2(rhs))
+        assert res.state is None
+
+
 class TestOperatorAndOptions:
     def test_matrix_free_operator(self):
         rng = np.random.default_rng(12)

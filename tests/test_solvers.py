@@ -16,7 +16,14 @@ from avesolve.generators import (
     gen_tridiag8,
     gen_x0,
 )
-from avesolve.linalg import SingularMatrixError, band_layout, lu_factor, norm2
+from avesolve.linalg import (
+    SingularMatrixError,
+    band_layout,
+    lu_factor,
+    lu_operand,
+    lu_solve,
+    norm2,
+)
 from avesolve.lsqr import LsqrOptions, as_operator, lsqr_solve
 from avesolve.solvers import (
     Deflation,
@@ -370,7 +377,11 @@ class TestDeflation:
 # the target never moves an inner stop.  The drs_inexact rows were
 # re-recorded when its inner solves began to recycle a deflation space
 # (23 -> 23 outer steps and 823 -> 402 inner iterations; 25 -> 24 and
-# 950 -> 407; final iterates moved by at most 2e-11 and 5e-10).
+# 950 -> 407; final iterates moved by at most 2e-11 and 5e-10).  The
+# newton_inexact row was re-recorded when steps with an unchanged sign
+# pattern began to resume the previous step's LSQR run (5 -> 5 outer steps
+# and 351 -> 208 inner iterations; the final iterate moved by at most
+# 1.7e-11).
 PINNED_INEXACT_RUNS = [
     (
         drs_inexact, 3.5, 0.05, 23,
@@ -386,8 +397,8 @@ PINNED_INEXACT_RUNS = [
     ),
     (
         newton_inexact, 3.5, 0.05, 5,
-        [0, 50, 75, 76, 74, 76],
-        "b196b7e7655cf61a3ea5c601bba0ba32c15c471411c48db7265d16c35221fc21",
+        [0, 50, 75, 76, 4, 3],
+        "2ca656d5d4a2bb2f39b9fcc549435d0f2d598a88309d668ee510664c092ab53f",
     ),
 ]
 
@@ -527,6 +538,47 @@ class TestNewton:
         p = AveProblem(np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros(2))
         with pytest.raises(ThetaUndefinedError):
             resolve_newton_theta(p, SolverConfig())
+
+    def test_exact_stagnates_on_repeated_sign_pattern(self):
+        # The residual freezes above epsilon from k = 3 on; the run used to
+        # spend max_iter = 1000 factorizations there.
+        p = gen_random_sparse(
+            GeneratorSpec(family="random", n=200, sigma_min_target=3.5, seed=1)
+        )
+        xs = []
+        rep = newton_exact(p, SolverConfig(), x0=gen_x0(200, 0), callback=lambda k, x: xs.append(x))
+        assert rep.status is SolveStatus.STAGNATED
+        assert rep.iterations <= 5
+        assert rep.final_residual_norm > SolverConfig().epsilon
+        s = np.sign(xs[-1])
+        npt.assert_array_equal(s, np.sign(xs[-2]))
+        npt.assert_array_equal(lu_solve(lu_factor(lu_operand(p.A), shift=s), p.b), xs[-1])
+
+    def test_inexact_stagnates_below_roundoff_floor(self):
+        # epsilon far below the roundoff floor of the system: once the run of
+        # the settled sign pattern stops at Roundoff the solve ends, instead
+        # of max_iter steps of 10 n inner iterations each.
+        p = gen_random_sparse(
+            GeneratorSpec(family="random", n=40, sigma_min_target=3.5, margin=0.05, seed=0)
+        )
+        rep = newton_inexact(p, SolverConfig(epsilon=1e-14), x0=gen_x0(40, 1))
+        assert rep.status is SolveStatus.STAGNATED
+        assert rep.iterations <= 10
+        assert rep.inner_iteration_total <= 10 * 40
+
+    def test_unchanged_pattern_steps_resume_the_run(self):
+        p = gen_random_sparse(
+            GeneratorSpec(family="random", n=60, sigma_min_target=3.5, margin=0.05, seed=0)
+        )
+        signs = []
+        rep = newton_inexact(p, SolverConfig(), x0=gen_x0(60, 1),
+                             callback=lambda k, x: signs.append(np.sign(x)))
+        assert rep.status is SolveStatus.CONVERGED
+        # The step from x^k produces iterate k + 1.
+        resumed = [k + 1 for k in range(1, rep.iterations)
+                   if np.array_equal(signs[k], signs[k - 1])]
+        assert resumed
+        assert all(rep.inner_iteration_history[k] <= 10 for k in resumed)
 
     def test_explicit_theta_residual_bound_each_step(self):
         p = small_random_problem(14, n=25, target=3.4)
