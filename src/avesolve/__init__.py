@@ -35,7 +35,7 @@ from .linalg import (
     sigma_min_estimate,
     singular_value_bounds,
 )
-from .lsqr import LsqrOptions, LsqrResult, LsqrStop, lsqr_solve
+from .lsqr import LsqrResult, LsqrStop, lsqr_solve
 from .solvers import (
     InnerSolverStallError,
     Method,

@@ -1,4 +1,4 @@
-"""LSQR iteration for least-squares and square linear systems.
+"""LSQR iteration for square and least-squares linear systems.
 
 Implements the Golub-Kahan bidiagonalization with QR factorization by
 Givens rotations, after Paige and Saunders, ACM TOMS 8(1), 1982.  Six
@@ -7,12 +7,16 @@ departures from the textbook routine matter here:
 * warm start: with a nonzero ``x0`` the iteration runs on the shifted
   system ``A d = rhs - A x0`` and returns ``x0 + d``, so a good initial
   guess costs nothing;
-* caller-supplied residual target: the run stops at the first iterate
-  whose recomputed true residual norm ``||rhs - A x||`` is at most
-  ``target``, letting an outer solver enforce its own acceptance criterion
-  exactly instead of through atol/btol proxies.  The true residual costs
-  one extra matvec and is recomputed only on iterations where the
-  recurrence estimate ``phibar`` is at most twice the target;
+* caller-supplied residual target, the one convergence test: the run
+  stops at the first iterate whose recomputed true residual norm
+  ``||rhs - A x||`` is at most ``target``, letting an outer solver enforce
+  its own acceptance criterion exactly.  The true residual costs one extra
+  matvec and is recomputed only on iterations where the recurrence
+  estimate ``phibar`` is at most twice the target.  The textbook tests on
+  ``||r||`` and ``||A^T r||`` relative to ``||A||`` are not implemented;
+  a least-squares problem whose minimum residual lies above the target
+  runs to ``max_iter`` or a breakdown (``scipy.sparse.linalg.lsqr`` has
+  those tests);
 * roundoff stop: when that recomputed residual is still above the target
   but ``phibar`` has fallen below half of it, the recurrence has left the
   true residual behind and further iterations move the iterate only by
@@ -20,9 +24,9 @@ departures from the textbook routine matter here:
 * resumable runs: a result carries the state of its Golub-Kahan process,
   and ``resume = result`` continues that process to a new target exactly
   as one longer run would have gone on;
-* breakdown reporting: a vanishing bidiagonalization vector before any
-  stopping rule fires is reported as ``Breakdown`` rather than silently
-  treated as convergence;
+* breakdown reporting: a vanishing bidiagonalization vector before the
+  target is met is reported as ``Breakdown`` rather than silently treated
+  as convergence;
 * basis recording: ``keep_basis = m`` returns the first ``m`` right
   Lanczos vectors ``V`` and the lower bidiagonal ``B`` with
   ``A V = U B``, from which a caller can extract Ritz vectors.
@@ -44,7 +48,6 @@ from .linalg import is_sparse, transposed
 
 __all__ = [
     "LsqrStop",
-    "LsqrOptions",
     "LsqrResult",
     "LsqrState",
     "MatOperator",
@@ -64,28 +67,13 @@ class LsqrStop(Enum):
     ROUNDOFF = "Roundoff"
 
 
-@dataclass(frozen=True)
-class LsqrOptions:
-    """Stopping controls: ``||A x - rhs|| <= max(atol ||A|| ||x||, btol ||rhs||)``."""
-
-    atol: float = 1e-10
-    btol: float = 1e-10
-    max_inner_iter: int = 1000
-
-    def __post_init__(self) -> None:
-        if self.atol < 0 or self.btol < 0:
-            raise ValueError("LsqrOptions: atol and btol must be nonnegative")
-        if self.max_inner_iter < 1:
-            raise ValueError("LsqrOptions: max_inner_iter must be positive")
-
-
 @dataclass
 class LsqrState:
     """Where a Golub-Kahan process stands after its last iteration: the
     iterate is ``x_base + d``, ``u`` and ``v`` are the current
     bidiagonalization vectors, ``w`` the next search direction, and
-    ``alpha``, ``phibar``, ``rhobar`` and ``anorm_sq`` the recurrence
-    scalars.  Resuming updates the arrays in place."""
+    ``alpha``, ``phibar`` and ``rhobar`` the recurrence scalars.  Resuming
+    updates the arrays in place."""
 
     x_base: np.ndarray
     d: np.ndarray
@@ -95,7 +83,6 @@ class LsqrState:
     alpha: float
     phibar: float
     rhobar: float
-    anorm_sq: float
     breakdown_floor: float
 
 
@@ -160,44 +147,50 @@ def _sym_ortho(a: float, b: float) -> tuple[float, float, float]:
 def lsqr_solve(
     A,
     rhs: np.ndarray,
+    target: float,
     x0: np.ndarray | None = None,
-    opts: LsqrOptions = LsqrOptions(),
-    target: float | None = None,
-    keep_trace: bool = True,
+    max_iter: int = 1000,
     keep_basis: int = 0,
     resume: LsqrResult | None = None,
 ) -> LsqrResult:
-    """Minimize ``||A x - rhs||`` starting from ``x0``.
+    """Minimize ``||A x - rhs||`` starting from ``x0`` until the true
+    residual is at most ``target``.
 
-    The trace records ``(iteration, residual_norm)`` pairs using the
-    internal recurrence estimate ``phibar``, which is nonincreasing by
-    construction.  When ``target`` is given the run stops with
-    ``ResidualTol`` at the first iterate whose true residual norm
-    ``||rhs - A x||`` is at most ``target``, and reports that norm.  The
-    true residual is exact at ``x0``; after that it is recomputed (one extra
-    matvec) only on iterations where ``phibar <= 2 target``.  ``phibar``
-    equals the true residual in exact arithmetic; in double precision it
-    has been measured less than 1 % above it on the random problem family,
-    so the factor of two leaves wide room and the gate does not move the
-    stop.  A recomputed residual above ``target`` with ``phibar`` below half
-    of it stops the run with ``Roundoff`` and reports that residual: the
-    two have parted by rounding, and the true residual no longer follows
-    the recurrence down.
+    The run stops with ``ResidualTol`` at the first iterate whose true
+    residual norm ``||rhs - A x||`` is at most ``target``, and reports that
+    norm.  The true residual is exact at ``x0``; after that it is recomputed
+    (one extra matvec) only on iterations where ``phibar <= 2 target``.
+    ``phibar`` equals the true residual in exact arithmetic; in double
+    precision it has been measured less than 1 % above it on the random
+    problem family, so the factor of two leaves wide room and the gate does
+    not move the stop.  A recomputed residual above ``target`` with
+    ``phibar`` below half of it stops the run with ``Roundoff`` and reports
+    that residual: the two have parted by rounding, and the true residual
+    no longer follows the recurrence down.  A run stopped by ``MaxIter`` or
+    ``Breakdown`` reports ``phibar``.  The trace records
+    ``(iteration, phibar)`` pairs, nonincreasing by construction.
 
     ``resume = r`` continues the process of an earlier result ``r`` on the
     same ``A`` and ``rhs`` (``x0`` is not given) under this call's
-    ``opts`` and ``target``; ``r.state`` is consumed.  Its iterates are
+    ``target`` and ``max_iter``; ``r.state`` is consumed.  Its iterates are
     those of one run that had not stopped, bit for bit, and
-    ``iterations``, the trace and ``max_inner_iter`` count this call's
-    iterations only.  The target is first checked, as in the loop, at the
-    iterate ``r`` stopped on.
+    ``iterations``, the trace and ``max_iter`` count this call's iterations
+    only.  The target is first checked, as in the loop, at the iterate
+    ``r`` stopped on.
 
     ``keep_basis = m > 0`` records the first ``m`` Lanczos vectors
     ``v_1 .. v_m`` of the run as the columns of ``V`` and the lower
     bidiagonal ``B`` (``alpha_i`` on the diagonal, ``beta_{i+1}`` below it)
     with ``A V = U B``, returned as ``basis``.  The singular values of ``B``
     are Ritz values of ``A``.  Recording copies; the iterate does not move.
+    A resumed run records no basis: its first vector is not ``v_1``.
     """
+    if not target >= 0.0:
+        raise ValueError(f"lsqr_solve: target must be nonnegative, got {target!r}")
+    if max_iter < 1:
+        raise ValueError(f"lsqr_solve: max_iter must be positive, got {max_iter!r}")
+    if keep_basis > 0 and resume is not None:
+        raise ValueError("lsqr_solve: a resumed run cannot record a basis")
     op = as_operator(A)
     matvec, rmatvec = op.matvec, op.rmatvec
     m, n = op.shape
@@ -205,13 +198,12 @@ def lsqr_solve(
     if rhs.shape[0] != m:
         raise ValueError(f"lsqr_solve: rhs length {rhs.shape[0]} != {m} rows")
 
-    btol_floor = opts.btol * math.sqrt(rhs @ rhs)
     trace: list[tuple[int, float]] = []
-    keep_basis = min(keep_basis, opts.max_inner_iter)
+    keep_basis = min(keep_basis, max_iter)
     if keep_basis > 0:
         V = np.empty((n, keep_basis), order="F")
         B = np.zeros((keep_basis + 1, keep_basis))
-    check_below = -math.inf if target is None else 2.0 * target
+    check_below = 2.0 * target
     started = broke = alpha_broke = False
 
     def finish(iters: int, rnorm: float, reason: LsqrStop) -> LsqrResult:
@@ -222,8 +214,7 @@ def lsqr_solve(
         state = None
         if (started and not (broke or alpha_broke)
                 and reason in (LsqrStop.RESIDUAL_TOL, LsqrStop.MAX_ITER)):
-            state = LsqrState(x_base, d, u, v, w, alpha, phibar, rhobar, anorm_sq,
-                              breakdown_floor)
+            state = LsqrState(x_base, d, u, v, w, alpha, phibar, rhobar, breakdown_floor)
         return LsqrResult(
             solution=x_base + d,
             iterations=iters,
@@ -246,11 +237,10 @@ def lsqr_solve(
         if st.x_base.shape[0] != n:
             raise ValueError(f"lsqr_solve: resumed iterate length {st.x_base.shape[0]} != {n}")
         x_base, d, u, v, w = st.x_base, st.d, st.u, st.v, st.w
-        alpha, phibar, rhobar, anorm_sq = st.alpha, st.phibar, st.rhobar, st.anorm_sq
+        alpha, phibar, rhobar = st.alpha, st.phibar, st.rhobar
         breakdown_floor = st.breakdown_floor
         started = True
-        if keep_trace:
-            trace.append((0, phibar))
+        trace.append((0, phibar))
         if phibar <= check_below:
             r = rhs - matvec(x_base + d)
             rtrue = math.sqrt(r @ r)
@@ -268,11 +258,8 @@ def lsqr_solve(
         d = np.zeros(n)
 
         beta = math.sqrt(r0 @ r0)
-        if keep_trace:
-            trace.append((0, beta))
-        if target is not None and beta <= target:
-            return finish(0, beta, LsqrStop.RESIDUAL_TOL)
-        if beta <= btol_floor:
+        trace.append((0, beta))
+        if beta <= target:
             return finish(0, beta, LsqrStop.RESIDUAL_TOL)
 
         breakdown_floor = BREAKDOWN_RTOL * beta
@@ -287,13 +274,12 @@ def lsqr_solve(
         w = v.copy()
         phibar = beta
         rhobar = alpha
-        anorm_sq = alpha * alpha
         started = True
 
     # u, v, w and d are updated in place; each in-place sequence rounds
     # exactly like the textbook expression in its comment.  After a
     # breakdown v and w are never read again.
-    for it in range(1, opts.max_inner_iter + 1):
+    for it in range(1, max_iter + 1):
         record = it <= keep_basis
         if record:
             V[:, it - 1] = v
@@ -306,7 +292,6 @@ def lsqr_solve(
         broke = beta <= breakdown_floor
         if not broke:
             u /= beta
-        anorm_sq += beta * beta
 
         # s >= 0 because beta is a norm, so phibar stays nonnegative and the
         # trace is nonincreasing by construction.
@@ -325,14 +310,12 @@ def lsqr_solve(
                 v /= alpha
             theta = s * alpha
             rhobar = -c * alpha
-            anorm_sq += alpha * alpha
             w *= -(theta / rho)
             w += v  # w = v - (theta / rho) w
         else:
             alpha_broke = True
 
-        if keep_trace:
-            trace.append((it, phibar))
+        trace.append((it, phibar))
 
         if phibar <= check_below:
             r = rhs - matvec(x_base + d)
@@ -341,15 +324,8 @@ def lsqr_solve(
                 return finish(it, rtrue, LsqrStop.RESIDUAL_TOL)
             if phibar < 0.5 * rtrue:
                 return finish(it, rtrue, LsqrStop.ROUNDOFF)
-        stop_below = btol_floor
-        if opts.atol > 0.0:
-            x = x_base + d
-            xnorm = math.sqrt(x @ x)
-            stop_below = max(opts.atol * math.sqrt(anorm_sq) * xnorm, btol_floor)
-        if phibar <= stop_below:
-            return finish(it, phibar, LsqrStop.RESIDUAL_TOL)
 
         if broke or alpha_broke:
             return finish(it, phibar, LsqrStop.BREAKDOWN)
 
-    return finish(opts.max_inner_iter, phibar, LsqrStop.MAX_ITER)
+    return finish(max_iter, phibar, LsqrStop.MAX_ITER)

@@ -50,6 +50,7 @@ import scipy.sparse as sp
 
 from .core import AveProblem, GMatrix, residual, rho, theta_k
 from .linalg import (
+    EPS,
     SingularMatrixError,
     lu_factor,
     lu_operand,
@@ -60,7 +61,7 @@ from .linalg import (
     sign_diag,
     transposed,
 )
-from .lsqr import LsqrOptions, LsqrStop, MatOperator, as_operator, lsqr_solve
+from .lsqr import LsqrStop, MatOperator, as_operator, lsqr_solve
 
 __all__ = [
     "Method",
@@ -348,7 +349,7 @@ class Deflation:
     def size(self) -> int:
         return self.Y.shape[1]
 
-    def solve(self, rhs: np.ndarray, x: np.ndarray, opts: LsqrOptions, target: float):
+    def solve(self, rhs: np.ndarray, x: np.ndarray, target: float, max_iter: int):
         """One inner run for ``A y = rhs`` from ``x``; returns the candidate
         and the LSQR result.  With an empty space this is plain warm-started
         LSQR.  Otherwise it starts at ``y0 = x + Y W^T r0`` and runs LSQR on
@@ -358,7 +359,7 @@ class Deflation:
         ``(I - W W^T)(r0' - A d)``, the residual LSQR stopped on, in exact
         arithmetic."""
         if self.size == 0:
-            res = lsqr_solve(self.op, rhs, x0=x, opts=opts, target=target, keep_trace=False,
+            res = lsqr_solve(self.op, rhs, target, x0=x, max_iter=max_iter,
                              keep_basis=DEFLATION_BASIS)
             cand = res.solution
         else:
@@ -370,7 +371,7 @@ class Deflation:
             deflated = MatOperator(A.shape, lambda v: project(A @ v), lambda u: AT @ project(u))
             y0 = x + Y @ (W.T @ (rhs - matvec(x)))
             r0 = rhs - matvec(y0)
-            res = lsqr_solve(deflated, project(r0), opts=opts, target=target, keep_trace=False,
+            res = lsqr_solve(deflated, project(r0), target, max_iter=max_iter,
                              keep_basis=DEFLATION_BASIS)
             d = res.solution
             cand = y0 + d + Y @ (W.T @ (r0 - matvec(d)))
@@ -421,13 +422,12 @@ class ContinuedRun:
     def exhausted(self) -> bool:
         return self.res is not None and self.res.stop_reason is LsqrStop.ROUNDOFF
 
-    def solve(self, rhs: np.ndarray, x: np.ndarray, opts: LsqrOptions, target: float):
+    def solve(self, rhs: np.ndarray, x: np.ndarray, target: float, max_iter: int):
         """The next candidate for ``op y = rhs`` and its LSQR result."""
         if self.res is not None and self.res.state is not None:
-            res = lsqr_solve(self.op, rhs, opts=opts, target=target, keep_trace=False,
-                             resume=self.res)
+            res = lsqr_solve(self.op, rhs, target, max_iter=max_iter, resume=self.res)
         else:
-            res = lsqr_solve(self.op, rhs, x0=x, opts=opts, target=target, keep_trace=False)
+            res = lsqr_solve(self.op, rhs, target, x0=x, max_iter=max_iter)
         self.res = res
         return res.solution, res
 
@@ -468,32 +468,23 @@ def _solve_to_criterion(
     rounding errors of that scale in the residual without a single LSQR
     iteration spent on them, and one retry removes them.
     """
-    opts = LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=max_inner)
     inner_total = 0
     x_warm = x_start
     target = lsqr_target
     rhs_norm = norm2(rhs)
-    eps = float(np.finfo(np.float64).eps)
     deflated_first = isinstance(space, Deflation) and space.size > 0
     for attempt in range(INNER_RETRY_LIMIT + 1):
         if space is None:
-            res = lsqr_solve(
-                op,
-                rhs,
-                x0=x_warm,
-                opts=opts,
-                target=target,
-                keep_trace=False,
-            )
+            res = lsqr_solve(op, rhs, target, x0=x_warm, max_iter=max_inner)
             cand = res.solution
         else:
-            cand, res = space.solve(rhs, x_warm, opts, target)
+            cand, res = space.solve(rhs, x_warm, target, max_inner)
         inner_total += res.iterations
         if accepts(cand):
             return cand, inner_total
         if op_norm_hint > 0.0 and not (attempt == 0 and deflated_first):
             rn = norm2(rhs - op.matvec(cand))
-            floor = 16.0 * eps * (op_norm_hint * norm2(cand) + rhs_norm)
+            floor = 16.0 * EPS * (op_norm_hint * norm2(cand) + rhs_norm)
             if rn <= floor:
                 return cand, inner_total
         x_warm = cand

@@ -34,7 +34,7 @@ from avesolve.generators import (
     gen_x0,
 )
 from avesolve.linalg import norm2
-from avesolve.lsqr import LsqrOptions, lsqr_solve
+from avesolve.lsqr import lsqr_solve
 from avesolve.solvers import (
     SolveStatus,
     SolverConfig,
@@ -259,7 +259,7 @@ def test_criterion_7_lsqr_against_lu():
         q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
         A = q1 @ np.diag(np.geomspace(cond, 1.0, n)) @ q2.T
         rhs = rng.standard_normal(n)
-        res = lsqr_solve(A, rhs, opts=LsqrOptions(atol=0.0, btol=1e-10, max_inner_iter=30000))
+        res = lsqr_solve(A, rhs, 1e-10 * norm2(rhs), max_iter=30000)
         oracle = np.linalg.solve(A, rhs)
         rel = norm2(res.solution - oracle) / (1.0 + norm2(oracle))
         assert rel <= 1e-6, f"n={n} cond={cond:.0f}: relative gap {rel:.2e}"

@@ -4,7 +4,7 @@ import pytest
 import scipy.sparse as sp
 
 from avesolve.linalg import norm2
-from avesolve.lsqr import LsqrOptions, LsqrStop, MatOperator, as_operator, lsqr_solve
+from avesolve.lsqr import LsqrStop, MatOperator, as_operator, lsqr_solve
 
 
 def conditioned_system(rng, n, cond):
@@ -34,21 +34,22 @@ def counting_operator(A):
 class TestBasicSolves:
     def test_identity_one_iteration(self):
         rhs = np.array([3.0, -1.0, 2.0])
-        res = lsqr_solve(np.eye(3), rhs)
+        res = lsqr_solve(np.eye(3), rhs, 1e-10 * norm2(rhs))
         assert res.stop_reason is LsqrStop.RESIDUAL_TOL
         assert res.iterations == 1
         npt.assert_allclose(res.solution, rhs, rtol=1e-12)
 
     def test_diagonal(self):
         A = np.diag([2.0, 4.0])
-        res = lsqr_solve(A, np.array([2.0, 8.0]))
+        rhs = np.array([2.0, 8.0])
+        res = lsqr_solve(A, rhs, 1e-10 * norm2(rhs))
         npt.assert_allclose(res.solution, [1.0, 2.0], rtol=1e-9)
         assert res.stop_reason is LsqrStop.RESIDUAL_TOL
 
     def test_sparse_operator(self):
         A = sp.diags([-1.0, 8.0, -1.0], [-1, 0, 1], shape=(60, 60), format="csr")
         rhs = np.ones(60)
-        res = lsqr_solve(A, rhs)
+        res = lsqr_solve(A, rhs, 1e-10 * norm2(rhs))
         assert norm2(A @ res.solution - rhs) <= 1e-8 * norm2(rhs)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -58,16 +59,19 @@ class TestBasicSolves:
         A = conditioned_system(rng, n, cond=float(rng.uniform(1.0, 1e3)))
         x_true = rng.standard_normal(n)
         rhs = A @ x_true
-        res = lsqr_solve(A, rhs, opts=LsqrOptions(atol=0.0, btol=1e-12))
+        res = lsqr_solve(A, rhs, 1e-12 * norm2(rhs))
         oracle = np.linalg.solve(A, rhs)
         assert norm2(res.solution - oracle) <= 1e-6 * (1.0 + norm2(oracle))
 
     def test_least_squares_rectangular(self):
         # Overdetermined: minimiser and residual come from the lstsq oracle.
+        # The minimum residual is far above a zero target, so the run ends
+        # on its iteration cap or a breakdown.
         rng = np.random.default_rng(11)
         A = rng.standard_normal((15, 6))
         rhs = rng.standard_normal(15)
-        res = lsqr_solve(A, rhs, opts=LsqrOptions(atol=1e-12, btol=0.0, max_inner_iter=200))
+        res = lsqr_solve(A, rhs, 0.0, max_iter=200)
+        assert res.stop_reason in (LsqrStop.MAX_ITER, LsqrStop.BREAKDOWN)
         oracle = np.linalg.lstsq(A, rhs, rcond=None)[0]
         npt.assert_allclose(res.solution, oracle, atol=1e-8)
 
@@ -77,7 +81,8 @@ class TestWarmStart:
         rng = np.random.default_rng(3)
         A = conditioned_system(rng, 20, 10.0)
         x_true = rng.standard_normal(20)
-        res = lsqr_solve(A, A @ x_true, x0=x_true)
+        rhs = A @ x_true
+        res = lsqr_solve(A, rhs, 1e-10 * norm2(rhs), x0=x_true)
         assert res.iterations == 0
         assert res.stop_reason is LsqrStop.RESIDUAL_TOL
         npt.assert_array_equal(res.solution, x_true)
@@ -87,8 +92,9 @@ class TestWarmStart:
         A = conditioned_system(rng, 40, 50.0)
         x_true = rng.standard_normal(40)
         rhs = A @ x_true
-        cold = lsqr_solve(A, rhs)
-        warm = lsqr_solve(A, rhs, x0=x_true + 1e-9 * rng.standard_normal(40))
+        target = 1e-10 * norm2(rhs)
+        cold = lsqr_solve(A, rhs, target)
+        warm = lsqr_solve(A, rhs, target, x0=x_true + 1e-9 * rng.standard_normal(40))
         assert warm.iterations < cold.iterations
         assert norm2(A @ warm.solution - rhs) <= 1e-8 * norm2(rhs)
 
@@ -97,7 +103,8 @@ class TestDiagnostics:
     def test_trace_monotone_nonincreasing(self):
         rng = np.random.default_rng(6)
         A = conditioned_system(rng, 50, 800.0)
-        res = lsqr_solve(A, rng.standard_normal(50), opts=LsqrOptions(atol=0.0, btol=1e-12))
+        rhs = rng.standard_normal(50)
+        res = lsqr_solve(A, rhs, 1e-12 * norm2(rhs))
         vals = [v for _, v in res.trace]
         assert len(vals) == res.iterations + 1
         assert all(b <= a * (1 + 1e-15) for a, b in zip(vals, vals[1:]))
@@ -108,27 +115,25 @@ class TestDiagnostics:
         rng = np.random.default_rng(7)
         A = conditioned_system(rng, 30, 100.0)
         rhs = rng.standard_normal(30)
-        res = lsqr_solve(A, rhs, opts=LsqrOptions(atol=0.0, btol=1e-12))
+        res = lsqr_solve(A, rhs, 1e-12 * norm2(rhs))
         true = norm2(A @ res.solution - rhs)
-        assert abs(res.residual_norm - true) <= 1e-8 * (1.0 + norm2(rhs))
-
-    def test_keep_trace_off(self):
-        res = lsqr_solve(np.eye(4), np.ones(4), keep_trace=False)
-        assert res.trace == []
+        phibar = res.trace[-1][1]
+        assert abs(phibar - true) <= 1e-8 * (1.0 + norm2(rhs))
 
 
 class TestStopping:
     def test_max_iter(self):
         rng = np.random.default_rng(8)
         A = conditioned_system(rng, 40, 1e3)
-        res = lsqr_solve(A, rng.standard_normal(40), opts=LsqrOptions(atol=0.0, btol=1e-14, max_inner_iter=3))
+        rhs = rng.standard_normal(40)
+        res = lsqr_solve(A, rhs, 1e-14 * norm2(rhs), max_iter=3)
         assert res.stop_reason is LsqrStop.MAX_ITER
         assert res.iterations == 3
 
     def test_breakdown_rhs_orthogonal_to_range(self):
         # A^T rhs = 0 makes the first bidiagonalization step collapse.
         A = np.array([[1.0, 0.0], [0.0, 0.0]])
-        res = lsqr_solve(A, np.array([0.0, 1.0]))
+        res = lsqr_solve(A, np.array([0.0, 1.0]), 1e-10)
         assert res.stop_reason is LsqrStop.BREAKDOWN
         npt.assert_array_equal(res.solution, [0.0, 0.0])
 
@@ -138,26 +143,25 @@ class TestStopping:
         rhs = rng.standard_normal(50)
         target = 0.1 * norm2(rhs)
 
-        res = lsqr_solve(A, rhs, opts=LsqrOptions(atol=0.0, btol=1e-14), target=target)
+        res = lsqr_solve(A, rhs, target)
         assert res.stop_reason is LsqrStop.RESIDUAL_TOL
         true = norm2(A @ res.solution - rhs)
         assert true <= target
         assert res.residual_norm == true
-        tight = lsqr_solve(A, rhs, opts=LsqrOptions(atol=0.0, btol=1e-12))
+        tight = lsqr_solve(A, rhs, 1e-12 * norm2(rhs))
         assert res.iterations < tight.iterations
 
     def test_target_stop_reports_true_residual(self):
-        # One target per LSQR estimate of a plain run, so the target stops
-        # spread over that run's iterations (its last is left out: the plain
-        # run's btol rule stopped there).
+        # One target per LSQR estimate of a run to a tight target, so the
+        # target stops spread over that run's iterations (its last is left
+        # out: the tight run stopped there).
         rng = np.random.default_rng(10)
         A = conditioned_system(rng, 30, 200.0)
         rhs = rng.standard_normal(30)
-        opts = LsqrOptions(atol=0.0, btol=1e-12)
-        plain = lsqr_solve(A, rhs, opts=opts)
+        plain = lsqr_solve(A, rhs, 1e-12 * norm2(rhs))
         stops = set()
         for _, phibar in plain.trace[:-1]:
-            res = lsqr_solve(A, rhs, opts=opts, target=phibar)
+            res = lsqr_solve(A, rhs, phibar)
             assert res.stop_reason is LsqrStop.RESIDUAL_TOL
             true = norm2(A @ res.solution - rhs)
             assert abs(res.residual_norm - true) <= 1e-10 * (1.0 + norm2(rhs))
@@ -170,16 +174,13 @@ class TestStopping:
         A = conditioned_system(rng, 40, 1e2)
         rhs = rng.standard_normal(40)
         x0 = rng.standard_normal(40)
-        opts = LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=500)
         target = 1e-6 * norm2(rhs)
-        res = lsqr_solve(A, rhs, x0=x0, opts=opts, target=target)
+        res = lsqr_solve(A, rhs, target, x0=x0, max_iter=500)
         assert res.stop_reason is LsqrStop.RESIDUAL_TOL
         assert norm2(rhs - A @ res.solution) <= target
         assert res.iterations > 1
         for k in range(1, res.iterations):
-            early = lsqr_solve(
-                A, rhs, x0=x0, opts=LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=k)
-            )
+            early = lsqr_solve(A, rhs, 0.0, x0=x0, max_iter=k)
             assert early.iterations == k
             assert norm2(rhs - A @ early.solution) > target
 
@@ -203,13 +204,18 @@ class TestProductCounts:
         A = conditioned_system(rng, 40, 1e3)
         rhs = rng.standard_normal(40)
         op, counts = counting_operator(A)
-        res = lsqr_solve(op, rhs, opts=LsqrOptions(atol=0.0, btol=1e-12))
+        target = 1e-12 * norm2(rhs)
+        res = lsqr_solve(op, rhs, target)
         assert res.iterations > 10
-        assert counts == {"matvec": res.iterations, "rmatvec": res.iterations + 1}
+        # Besides one product each way per iteration, one matvec per
+        # true-residual check, made where phibar <= 2 target.
+        checks = sum(1 for _, phibar in res.trace[1:] if phibar <= 2.0 * target)
+        assert 0 < checks < res.iterations
+        assert counts == {"matvec": res.iterations + checks, "rmatvec": res.iterations + 1}
 
         op, counts = counting_operator(A)
         x0 = rng.standard_normal(40)
-        res = lsqr_solve(op, rhs, x0=x0, opts=LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=25))
+        res = lsqr_solve(op, rhs, 0.0, x0=x0, max_iter=25)
         assert res.stop_reason is LsqrStop.MAX_ITER
         assert counts == {"matvec": 26, "rmatvec": 26}
 
@@ -219,7 +225,7 @@ class TestProductCounts:
         rhs = rng.standard_normal(60)
         op, counts = counting_operator(A)
         target = 1e-8 * norm2(rhs)
-        res = lsqr_solve(op, rhs, opts=LsqrOptions(atol=0.0, btol=0.0), target=target)
+        res = lsqr_solve(op, rhs, target)
         assert res.stop_reason is LsqrStop.RESIDUAL_TOL
         assert res.iterations > 10
         assert counts["rmatvec"] == res.iterations + 1
@@ -233,7 +239,7 @@ class TestKeepBasis:
         A = conditioned_system(rng, 50, 1e3)
         rhs = rng.standard_normal(50)
         x0 = rng.standard_normal(50) if warm else None
-        kw = dict(x0=x0, opts=LsqrOptions(atol=0.0, btol=0.0), target=1e-9 * norm2(rhs))
+        kw = dict(target=1e-9 * norm2(rhs), x0=x0)
         plain = lsqr_solve(A, rhs, **kw)
         for m in (5, plain.iterations, plain.iterations + 40):
             kept = lsqr_solve(A, rhs, keep_basis=m, **kw)
@@ -253,8 +259,7 @@ class TestKeepBasis:
         rng = np.random.default_rng(18 + seed)
         A = conditioned_system(rng, 60, 300.0)
         rhs = rng.standard_normal(60)
-        res = lsqr_solve(A, rhs, opts=LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=80),
-                         keep_basis=80)
+        res = lsqr_solve(A, rhs, 0.0, max_iter=80, keep_basis=80)
         V, B = res.basis
         assert V.shape == (60, 80) and B.shape == (81, 80)
         sv = np.linalg.svd(A, compute_uv=False)
@@ -270,16 +275,14 @@ class TestResume:
         A = conditioned_system(rng, 50, 1e2)
         rhs = rng.standard_normal(50)
         x0 = rng.standard_normal(50)
-        opts = LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=500)
         target = 1e-9 * norm2(rhs)
-        one = lsqr_solve(A, rhs, x0=x0, opts=opts, target=target)
+        one = lsqr_solve(A, rhs, target, x0=x0, max_iter=500)
         if first_stop == "target":
-            part = lsqr_solve(A, rhs, x0=x0, opts=opts, target=1e-3 * norm2(rhs))
+            part = lsqr_solve(A, rhs, 1e-3 * norm2(rhs), x0=x0, max_iter=500)
         else:
-            short = LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=20)
-            part = lsqr_solve(A, rhs, x0=x0, opts=short, target=target)
+            part = lsqr_solve(A, rhs, target, x0=x0, max_iter=20)
         assert 0 < part.iterations < one.iterations
-        rest = lsqr_solve(A, rhs, opts=opts, target=target, resume=part)
+        rest = lsqr_solve(A, rhs, target, max_iter=500, resume=part)
         npt.assert_array_equal(rest.solution, one.solution)
         assert part.iterations + rest.iterations == one.iterations
         assert rest.residual_norm == one.residual_norm
@@ -287,14 +290,26 @@ class TestResume:
         # The state moved on with the resumed run.
         assert part.state is None and rest.state is not None
         with pytest.raises(ValueError, match="cannot resume"):
-            lsqr_solve(A, rhs, opts=opts, resume=part)
+            lsqr_solve(A, rhs, target, max_iter=500, resume=part)
         with pytest.raises(ValueError, match="x0"):
-            lsqr_solve(A, rhs, x0=x0, opts=opts, resume=rest)
+            lsqr_solve(A, rhs, target, x0=x0, max_iter=500, resume=rest)
 
     def test_breakdown_is_not_resumable(self):
-        res = lsqr_solve(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([0.0, 1.0]))
+        res = lsqr_solve(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([0.0, 1.0]), 1e-10)
         assert res.stop_reason is LsqrStop.BREAKDOWN
         assert res.state is None
+
+    def test_resumed_run_records_no_basis(self):
+        # The first vector of a resumed run is not v_1, so the basis it would
+        # record does not satisfy A V = U B.
+        rng = np.random.default_rng(21)
+        A = conditioned_system(rng, 30, 1e2)
+        rhs = rng.standard_normal(30)
+        part = lsqr_solve(A, rhs, 1e-9 * norm2(rhs), max_iter=5)
+        assert part.state is not None
+        with pytest.raises(ValueError, match="basis"):
+            lsqr_solve(A, rhs, 1e-9 * norm2(rhs), keep_basis=10, resume=part)
+        assert part.state is not None
 
 
 class TestRoundoffStop:
@@ -304,9 +319,8 @@ class TestRoundoffStop:
         A = conditioned_system(rng, 40, 1e4)
         rhs = rng.standard_normal(40)
         x0 = rng.standard_normal(40)
-        opts = LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=400)
         for rel in np.geomspace(1e-1, 1e-9, 9):
-            res = lsqr_solve(A, rhs, x0=x0, opts=opts, target=rel * norm2(rhs))
+            res = lsqr_solve(A, rhs, rel * norm2(rhs), x0=x0, max_iter=400)
             assert res.stop_reason is LsqrStop.RESIDUAL_TOL
 
     @pytest.mark.parametrize("rel", [0.1 * np.finfo(float).eps, 1e-20])
@@ -314,8 +328,7 @@ class TestRoundoffStop:
         rng = np.random.default_rng(40)
         A = conditioned_system(rng, 20, 10.0)
         rhs = rng.standard_normal(20)
-        opts = LsqrOptions(atol=0.0, btol=0.0, max_inner_iter=200)
-        res = lsqr_solve(A, rhs, opts=opts, target=rel * norm2(rhs))
+        res = lsqr_solve(A, rhs, rel * norm2(rhs), max_iter=200)
         assert res.stop_reason is LsqrStop.ROUNDOFF
         assert res.iterations <= 50
         true = norm2(rhs - A @ res.solution)
@@ -332,19 +345,27 @@ class TestOperatorAndOptions:
         op = as_operator(A)
         assert op.shape == (25, 25)
         rhs = rng.standard_normal(25)
-        res_op = lsqr_solve(op, rhs, opts=LsqrOptions(atol=0.0, btol=1e-12))
-        res_mat = lsqr_solve(A, rhs, opts=LsqrOptions(atol=0.0, btol=1e-12))
+        res_op = lsqr_solve(op, rhs, 1e-12 * norm2(rhs))
+        res_mat = lsqr_solve(A, rhs, 1e-12 * norm2(rhs))
         npt.assert_array_equal(res_op.solution, res_mat.solution)
 
-    def test_option_validation(self):
-        with pytest.raises(ValueError):
-            LsqrOptions(atol=-1.0)
-        with pytest.raises(ValueError):
-            LsqrOptions(btol=-1e-3)
-        with pytest.raises(ValueError):
-            LsqrOptions(max_inner_iter=0)
+    @pytest.mark.parametrize(
+        "target, max_iter, match",
+        [
+            (float("nan"), 10, "target"),
+            (-1e-3, 10, "target"),
+            (-np.inf, 10, "target"),
+            (1e-8, 0, "max_iter"),
+        ],
+        ids=["nan-target", "negative-target", "minus-inf-target", "zero-max-iter"],
+    )
+    def test_rejects_invalid_arguments(self, target, max_iter, match):
+        # A NaN or negative target never compares true, so without the check
+        # the run would go on silently to MaxIter or Breakdown.
+        with pytest.raises(ValueError, match=match):
+            lsqr_solve(np.eye(3), np.ones(3), target, max_iter=max_iter)
 
     def test_zero_rhs_zero_solution(self):
-        res = lsqr_solve(np.eye(5), np.zeros(5))
+        res = lsqr_solve(np.eye(5), np.zeros(5), 0.0)
         assert res.iterations == 0
         npt.assert_array_equal(res.solution, np.zeros(5))
