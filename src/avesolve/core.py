@@ -128,8 +128,8 @@ class AveProblem:
             self.A = np.asfortranarray(np.asarray(self.A, dtype=np.float64))
             if not np.all(np.isfinite(self.A)):
                 raise ValueError("AveProblem: A has non-finite entries")
-        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
-            raise ValueError(f"AveProblem: A must be square, got shape {self.A.shape}")
+        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1] or self.A.shape[0] == 0:
+            raise ValueError(f"AveProblem: A must be square and nonempty, got shape {self.A.shape}")
         self.b = np.asarray(self.b, dtype=np.float64).reshape(-1)
         if self.b.shape[0] != self.A.shape[0]:
             raise ValueError(

@@ -61,7 +61,7 @@ from .linalg import (
     sign_diag,
     transposed,
 )
-from .lsqr import LsqrStop, MatOperator, as_operator, lsqr_solve
+from .lsqr import LsqrStop, MatOperator, lsqr_solve
 
 __all__ = [
     "Method",
@@ -87,8 +87,8 @@ ALPHA_MODES = ("heuristic", "theoretical")
 # Tightening retries granted to an inner LSQR solve before giving up.
 INNER_RETRY_LIMIT = 5
 
-# Directions in the deflation space of a drs_inexact run (0 turns recycling
-# off), and the Lanczos vectors an inner run records for the harvest.
+# Directions in the deflation space of a drs_inexact run, and the Lanczos
+# vectors an inner run records for the harvest.
 DEFLATION_K = 20
 DEFLATION_BASIS = 8 * DEFLATION_K
 
@@ -216,6 +216,17 @@ class SolveReport:
     wall_time: float
 
 
+def _start_vector(v, n: int, name: str) -> np.ndarray:
+    """A float copy of a start vector, checked for length ``n`` and finite
+    entries."""
+    v = np.array(v, dtype=np.float64, copy=True).reshape(-1)
+    if v.shape[0] != n:
+        raise ValueError(f"{name} has length {v.shape[0]}, expected {n}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} has non-finite entries")
+    return v
+
+
 def _drive(
     p: AveProblem,
     cfg: SolverConfig,
@@ -232,9 +243,9 @@ def _drive(
     if x0 is None:
         raise ValueError("x0 is required")
     t0 = time.perf_counter()
-    x = np.array(x0, dtype=np.float64, copy=True).reshape(-1)
-    if x.shape[0] != p.n:
-        raise ValueError(f"x0 has length {x.shape[0]}, expected {p.n}")
+    x = _start_vector(x0, p.n, "x0")
+    if not cfg.G.is_identity and cfg.G.diag.shape[0] != p.n:
+        raise ValueError(f"G diagonal has length {cfg.G.diag.shape[0]}, expected {p.n}")
 
     res_hist: list[float] = []
     xnorm_hist: list[float] = []
@@ -341,8 +352,8 @@ class Deflation:
         self.k = k
         self.Y = np.empty((n, 0)) if Y is None else np.asarray(Y, dtype=np.float64)
         self.W = np.empty((n, 0)) if W is None else np.asarray(W, dtype=np.float64)
-        # The products of as_operator(A): with an empty space the run is plain
-        # warm-started LSQR, bit for bit.
+        # The products lsqr_solve forms for A itself: with an empty space the
+        # run is plain warm-started LSQR, bit for bit.
         self.op = MatOperator(A.shape, lambda v: A @ v, lambda u: AT @ u)
 
     @property
@@ -433,58 +444,52 @@ class ContinuedRun:
 
 
 def _solve_to_criterion(
-    op: MatOperator,
+    space: Deflation | ContinuedRun,
     rhs: np.ndarray,
     x_start: np.ndarray,
-    lsqr_target: float,
+    target: float,
     accepts: Callable[[np.ndarray], bool],
     max_inner: int,
     what: str,
-    op_norm_hint: float = 0.0,
-    space: Deflation | ContinuedRun | None = None,
+    op_norm: float,
 ):
-    """Warm-started LSQR runs until ``accepts`` passes on the returned
-    candidate, halving the residual target between attempts.
+    """Inner solves of ``space.op y = rhs`` through ``space.solve`` until
+    ``accepts`` passes on the returned candidate, halving the residual
+    target between attempts.
 
-    Each LSQR run stops at the first iterate whose true residual
-    ``||rhs - op x||`` is at most the current target.  LSQR recomputes that
-    residual (one extra matvec) only on iterations where its recurrence
-    estimate ``phibar`` is at most twice the target; ``phibar`` tracks the
-    true residual far closer than that factor, so the skipped iterations
-    are ones that could not have stopped.  With a ``space`` (for ``op`` the
-    operator of its system) each attempt goes through its ``solve`` instead:
-    :meth:`Deflation.solve` both uses and refreshes a deflation space, and
-    :meth:`ContinuedRun.solve` continues one LSQR run where the previous
-    attempt, or the previous solve of the same system, stopped.
+    Each attempt's LSQR run stops at the first iterate whose true residual
+    is at most the current target.  LSQR recomputes that residual (one
+    extra matvec) only on iterations where its recurrence estimate
+    ``phibar`` is at most twice the target; ``phibar`` tracks the true
+    residual far closer than that factor, so the skipped iterations are
+    ones that could not have stopped.  :meth:`Deflation.solve` both uses
+    and refreshes a deflation space, and :meth:`ContinuedRun.solve`
+    continues one LSQR run where the previous attempt, or the previous
+    solve of the same system, stopped.
 
     A candidate whose true residual has reached the roundoff scale of the
     system, ``16 eps (||op|| ||x|| + ||rhs||)``, is accepted even when the
     requested bound is smaller: no double-precision solve, direct or
     iterative, can certify a residual below that scale, so the candidate
     already is an exact solve for every representable purpose.
-    ``op_norm_hint`` supplies the operator norm for that scale; zero
-    disables the roundoff escape.  A candidate of a first attempt that was
-    deflated does not take the escape: its ``Y W^T`` corrections leave
-    rounding errors of that scale in the residual without a single LSQR
-    iteration spent on them, and one retry removes them.
+    ``op_norm`` is an estimate of ``||op||`` for that scale.  A candidate of
+    a first attempt that was deflated does not take the escape: its
+    ``Y W^T`` corrections leave rounding errors of that scale in the
+    residual without a single LSQR iteration spent on them, and one retry
+    removes them.
     """
     inner_total = 0
     x_warm = x_start
-    target = lsqr_target
     rhs_norm = norm2(rhs)
     deflated_first = isinstance(space, Deflation) and space.size > 0
     for attempt in range(INNER_RETRY_LIMIT + 1):
-        if space is None:
-            res = lsqr_solve(op, rhs, target, x0=x_warm, max_iter=max_inner)
-            cand = res.solution
-        else:
-            cand, res = space.solve(rhs, x_warm, target, max_inner)
+        cand, res = space.solve(rhs, x_warm, target, max_inner)
         inner_total += res.iterations
         if accepts(cand):
             return cand, inner_total
-        if op_norm_hint > 0.0 and not (attempt == 0 and deflated_first):
-            rn = norm2(rhs - op.matvec(cand))
-            floor = 16.0 * EPS * (op_norm_hint * norm2(cand) + rhs_norm)
+        if not (attempt == 0 and deflated_first):
+            rn = norm2(rhs - space.op.matvec(cand))
+            floor = 16.0 * EPS * (op_norm * norm2(cand) + rhs_norm)
             if rn <= floor:
                 return cand, inner_total
         x_warm = cand
@@ -518,8 +523,7 @@ def drs_inexact(
         return drs_exact(p, cfg, x0, callback)
 
     def make_step():
-        space = Deflation(p.A) if DEFLATION_K > 0 else None
-        op = as_operator(p.A) if space is None else space.op
+        space = Deflation(p.A)
         max_inner = cfg.inner_max_iter if cfg.inner_max_iter is not None else 10 * p.n
         theoretical = cfg.alpha_mode == "theoretical"
         if theoretical:
@@ -550,11 +554,9 @@ def drs_inexact(
             def accepts(cand: np.ndarray) -> bool:
                 return norm2(theta(cand)) <= bound
 
-            sol, inner = _solve_to_criterion(
-                op, rhs, x, 0.5 * bound, accepts, max_inner, "drs_inexact",
-                op_norm_hint=a_norm, space=space,
+            return _solve_to_criterion(
+                space, rhs, x, 0.5 * bound, accepts, max_inner, "drs_inexact", a_norm
             )
-            return sol, inner
 
         return step
 
@@ -593,19 +595,15 @@ def newton_exact(
     return _drive(p, cfg, x0, make_step, callback)
 
 
-def resolve_newton_theta(p: AveProblem, cfg: SolverConfig) -> float:
-    """Inexactness bound for ``newton_inexact``.
+def resolve_newton_theta(p: AveProblem, cfg: SolverConfig) -> tuple[float, float | None]:
+    """Inexactness bound for ``newton_inexact`` and the ``||A||`` estimate
+    it was derived from.
 
-    A fixed ``cfg.theta`` is returned as-is.  Otherwise the bound
+    A fixed ``cfg.theta`` is returned as-is, with ``None`` for the norm.
+    Otherwise the bound
     ``0.9999 (1 - 3 ||A^{-1}||) / (||A^{-1}|| (||A|| + 3))`` is evaluated
     from norm estimates; it only exists for ``||A^{-1}|| < 1/3``.
     """
-    return _newton_theta(p, cfg)[0]
-
-
-def _newton_theta(p: AveProblem, cfg: SolverConfig) -> tuple[float, float | None]:
-    """:func:`resolve_newton_theta` and the ``||A||`` estimate a derived
-    theta was computed from (``None`` for a fixed theta)."""
     if cfg.theta is not None:
         return cfg.theta, None
     norm_A = matrix_norm2_estimate(p.A, tol=1e-8)
@@ -641,7 +639,7 @@ def newton_inexact(
     has gone as far as double precision takes that system, so an
     unconverged step with its pattern ends the solve as ``STAGNATED``.
     """
-    theta, norm_A = _newton_theta(p, cfg)
+    theta, norm_A = resolve_newton_theta(p, cfg)
     if theta == 0.0:
         return newton_exact(p, cfg, x0, callback)
 
@@ -671,8 +669,7 @@ def newton_inexact(
                 return norm2(p.A @ cand - s * cand - p.b) <= bound
 
             return _solve_to_criterion(
-                run.op, p.b, x, bound, accepts, max_inner, "newton_inexact",
-                op_norm_hint=jac_norm, space=run,
+                run, p.b, x, bound, accepts, max_inner, "newton_inexact", jac_norm
             )
 
         return step
@@ -692,9 +689,7 @@ def sor_like(
 
     def make_step():
         factors = lu_factor(p.A)
-        y = np.array(y_init, dtype=np.float64, copy=True).reshape(-1)
-        if y.shape[0] != p.n:
-            raise ValueError(f"y0 has length {y.shape[0]}, expected {p.n}")
+        y = _start_vector(y_init, p.n, "y0")
         omega = cfg.omega
 
         def step(x, k, e, en):

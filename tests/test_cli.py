@@ -188,6 +188,16 @@ class TestSolve:
         )
         assert code == 0
 
+    def test_g_diag_wrong_length(self, tridiag_bundle, tmp_path, capsys):
+        gfile = tmp_path / "g.txt"
+        gfile.write_text("1.0\n2.0\n3.0\n")
+        code = main(
+            ["solve", "--problem", str(tridiag_bundle), "--method", "drs",
+             "--g-diag", str(gfile)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: G diagonal has length 3, expected 20\n"
+
 
 class TestCheck:
     def test_prints_regime(self, tridiag_bundle, capsys):
@@ -202,6 +212,17 @@ class TestCheck:
         )
         assert main(["check", "--problem", str(bundle)]) == 0
         assert "BoundaryMonotone" in capsys.readouterr().out
+
+    def test_empty_problem_is_input_error(self, tmp_path, capsys):
+        bundle = tmp_path / "empty"
+        bundle.mkdir()
+        (bundle / "manifest.json").write_text('{"family": "custom", "n": 0, "format": "dense"}\n')
+        (bundle / "A.mtx").write_text("%%MatrixMarket matrix array real general\n0 0\n")
+        (bundle / "b.txt").write_text("")
+        assert main(["check", "--problem", str(bundle)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: AveProblem: A must be square and nonempty")
+        assert "Traceback" not in err
 
 
 class TestBenchAndProfile:

@@ -195,6 +195,11 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="square"):
             AveProblem(np.ones((2, 3)), np.ones(2))
 
+    @pytest.mark.parametrize("A", [np.zeros((0, 0)), sp.csr_matrix((0, 0))], ids=["dense", "sparse"])
+    def test_rejects_empty(self, A):
+        with pytest.raises(ValueError, match="nonempty"):
+            AveProblem(A, np.zeros(0))
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             AveProblem(np.eye(3), np.ones(2))

@@ -26,6 +26,7 @@ from avesolve.linalg import (
 )
 from avesolve.lsqr import as_operator, lsqr_solve
 from avesolve.solvers import (
+    ContinuedRun,
     Deflation,
     InnerSolverStallError,
     _solve_to_criterion,
@@ -257,21 +258,12 @@ class TestDrsInexact:
     def test_roundoff_floor_accepts_machine_exact_candidate(self):
         # An unreachable bound must not stall once the candidate residual
         # is at the roundoff scale of the system.
-        op = as_operator(np.eye(2))
+        space = ContinuedRun(as_operator(np.eye(2)))
         rhs = np.array([1.0, -2.0])
         sol, _ = _solve_to_criterion(
-            op, rhs, np.zeros(2), 0.0, lambda cand: False, 50, "probe",
-            op_norm_hint=1.0,
+            space, rhs, np.zeros(2), 0.0, lambda cand: False, 50, "probe", 1.0
         )
         npt.assert_allclose(sol, rhs, rtol=0, atol=1e-12)
-
-    def test_roundoff_floor_disabled_stalls(self):
-        op = as_operator(np.eye(2))
-        rhs = np.array([1.0, -2.0])
-        with pytest.raises(InnerSolverStallError):
-            _solve_to_criterion(
-                op, rhs, np.zeros(2), 0.0, lambda cand: False, 50, "probe"
-            )
 
     def test_inexact_finishes_when_late_bounds_fall_below_roundoff(self):
         # Badly scaled draw: near convergence alpha * ||e|| drops under
@@ -306,16 +298,16 @@ class TestDeflation:
         floor = 16 * np.finfo(float).eps * (s[0] * norm2(cand) + norm2(rhs))
         assert norm2(rhs - A @ cand) <= target + floor
 
-    def test_no_space_loop_matches_plain_lsqr_runs(self):
-        """Without a space, each attempt is warm-started LSQR from the
-        previous candidate at half the target, bit for bit."""
+    def test_continued_run_retry_matches_resumed_lsqr(self):
+        """Through a ContinuedRun, the retry resumes the first attempt's
+        LSQR run at half the target, bit for bit."""
         rng = np.random.default_rng(31)
         A = rng.standard_normal((40, 40)) + 8.0 * np.eye(40)
         rhs = rng.standard_normal(40)
         x = rng.standard_normal(40)
         target = 1e-3 * norm2(rhs)
         first = lsqr_solve(A, rhs, target, x0=x, max_iter=400)
-        second = lsqr_solve(A, rhs, 0.5 * target, x0=first.solution, max_iter=400)
+        second = lsqr_solve(A, rhs, 0.5 * target, max_iter=400, resume=first)
         seen = []
 
         def accepts(cand):
@@ -323,7 +315,7 @@ class TestDeflation:
             return len(seen) == 2
 
         sol, inner = _solve_to_criterion(
-            as_operator(A), rhs, x, target, accepts, 400, "probe", op_norm_hint=10.0
+            ContinuedRun(as_operator(A)), rhs, x, target, accepts, 400, "probe", 10.0
         )
         npt.assert_array_equal(seen[0], first.solution)
         npt.assert_array_equal(sol, second.solution)
@@ -341,15 +333,12 @@ class TestDeflation:
         monkeypatch.setattr(solvers, "lsqr_solve", counting)
         never = lambda cand: False  # noqa: E731
         for space, attempts in [
-            (None, 1),
+            (ContinuedRun(as_operator(A)), 1),
             (Deflation(A, k=2), 1),
             (Deflation(A, k=2, Y=np.eye(4)[:, :2] / [1.0, 2.0], W=np.eye(4)[:, :2]), 2),
         ]:
             calls.clear()
-            sol, _ = _solve_to_criterion(
-                as_operator(A), rhs, np.zeros(4), 0.0, never, 50, "probe",
-                op_norm_hint=8.0, space=space,
-            )
+            sol, _ = _solve_to_criterion(space, rhs, np.zeros(4), 0.0, never, 50, "probe", 8.0)
             npt.assert_allclose(A @ sol, rhs, rtol=0, atol=1e-12)
             assert len(calls) == attempts
 
@@ -359,7 +348,9 @@ class TestDeflation:
         )
         x0 = gen_x0(200, seed=1000)
         recycled = drs_inexact(p, SolverConfig(), x0=x0)
-        monkeypatch.setattr(solvers, "DEFLATION_K", 0)
+        # Without a harvest the space stays empty, and every inner solve is
+        # plain warm-started LSQR.
+        monkeypatch.setattr(Deflation, "_harvest", lambda self, res: None)
         plain = drs_inexact(p, SolverConfig(), x0=x0)
         assert recycled.status is plain.status is SolveStatus.CONVERGED
         assert recycled.iterations <= plain.iterations
@@ -502,7 +493,7 @@ class TestNewton:
 
     def test_auto_theta_value_against_norm_oracles(self):
         p = small_random_problem(13, n=30, target=3.5)
-        theta = resolve_newton_theta(p, SolverConfig())
+        theta = resolve_newton_theta(p, SolverConfig())[0]
         A = p.A.toarray()
         s = np.linalg.svd(A, compute_uv=False)
         inv_norm, norm_a = 1.0 / s[-1], s[0]
@@ -519,7 +510,7 @@ class TestNewton:
         # sigma_min >= 6 against a true 6.0026.
         rep = check_solvability(p)
         from_report = 0.9999 * (1.0 - 3.0 * rep.inv_norm) / (rep.inv_norm * (rep.norm_A + 3.0))
-        theta = resolve_newton_theta(p, SolverConfig())
+        theta = resolve_newton_theta(p, SolverConfig())[0]
         assert from_report <= theta
         assert from_report == pytest.approx(theta, rel=rel)
 
@@ -527,14 +518,14 @@ class TestNewton:
         # sigma_min = 1 means ||A^-1|| = 1 >= 1/3.
         p = AveProblem(np.array([[1.0, 2.0], [-2.0 / 3.0, 1.0]]), np.zeros(2))
         with pytest.raises(ThetaUndefinedError):
-            resolve_newton_theta(p, SolverConfig())
+            resolve_newton_theta(p, SolverConfig())[0]
         with pytest.raises(ThetaUndefinedError):
             newton_inexact(p, x0=np.zeros(2))
 
     def test_theta_undefined_on_singular(self):
         p = AveProblem(np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros(2))
         with pytest.raises(ThetaUndefinedError):
-            resolve_newton_theta(p, SolverConfig())
+            resolve_newton_theta(p, SolverConfig())[0]
 
     def test_exact_stagnates_on_repeated_sign_pattern(self):
         # The residual freezes above epsilon from k = 3 on; the run used to
@@ -647,6 +638,11 @@ class TestSorLike:
         rep = sor_like(p, x0=np.ones(2))
         assert rep.status is SolveStatus.SINGULAR_SYSTEM
 
+    def test_non_finite_y0_rejected(self):
+        p = gen_tridiag8(10)
+        with pytest.raises(ValueError, match="y0 has non-finite entries"):
+            sor_like(p, x0=np.zeros(10), y0=np.full(10, np.inf))
+
 
 class TestFixedPoint:
     def test_forward_hand_step(self):
@@ -701,6 +697,24 @@ class TestRunSolver:
         npt.assert_array_equal(
             np.array(rep1.residual_history), np.array(rep2.residual_history)
         )
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_non_finite_x0_rejected(self, method):
+        # Unchecked, a NaN start runs max_iter steps to a NaN residual, or
+        # reaches LSQR as a NaN target.
+        p = gen_tridiag8(10)
+        x0 = np.zeros(10)
+        x0[3] = np.nan
+        with pytest.raises(ValueError, match="x0 has non-finite entries"):
+            run_solver(method, p, x0=x0)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_metric_length_must_match(self, size):
+        # Unchecked, one entry broadcasts as G = c I and three fail inside NumPy.
+        p = gen_tridiag8(10)
+        cfg = SolverConfig(G=GMatrix.diagonal(np.ones(size)))
+        with pytest.raises(ValueError, match=f"G diagonal has length {size}, expected 10"):
+            drs_exact(p, cfg, x0=np.zeros(10))
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_every_method_runs_on_well_posed_problem(self, method):
