@@ -18,7 +18,7 @@ import time
 from avesolve import SolverConfig, gen_tridiag8, gen_x0, run_solver
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
         "--sizes", type=int, nargs="+",
@@ -28,7 +28,7 @@ def main() -> None:
     ap.add_argument("--omega", type=float, default=1.0)
     ap.add_argument("--epsilon", type=float, default=1e-8)
     ap.add_argument("--x0-seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     runs = (
         ("drs", SolverConfig(gamma=args.gamma, epsilon=args.epsilon)),

@@ -40,6 +40,7 @@ __all__ = [
     "BenchRecord",
     "ProfileTable",
     "run_bench",
+    "check_r_max",
     "performance_ratios",
     "default_tau_grid",
     "profile_curve",
@@ -97,8 +98,13 @@ class ProfileTable:
                 f"ProfileTable: matrices must be {expected}, got ratios "
                 f"{self.ratios.shape} and converged {self.converged.shape}"
             )
-        if self.r_max <= 1.0:
-            raise ValueError(f"ProfileTable: r_max must exceed 1, got {self.r_max}")
+        check_r_max(self.r_max, "ProfileTable")
+
+
+def check_r_max(r_max: float, where: str) -> None:
+    """Raise ``ValueError`` unless ``r_max`` is a finite ratio ceiling above 1."""
+    if not 1.0 < r_max < np.inf:
+        raise ValueError(f"{where}: r_max must be finite and exceed 1, got {r_max}")
 
 
 def bench_config(**overrides) -> SolverConfig:
@@ -181,8 +187,7 @@ def performance_ratios(
     """
     if measure not in ("time", "iterations"):
         raise ValueError(f"performance_ratios: unknown measure {measure!r}")
-    if r_max <= 1.0:
-        raise ValueError("performance_ratios: r_max must exceed 1")
+    check_r_max(r_max, "performance_ratios")
     problem_ids = tuple(dict.fromkeys(r.problem_id for r in records))
     solver_ids = tuple(dict.fromkeys(r.solver_id for r in records))
     cell: dict[tuple[str, str], BenchRecord] = {}
@@ -230,6 +235,7 @@ def performance_ratios(
 def default_tau_grid(r_max: float = R_MAX_DEFAULT, log: bool = False, num: int = 191) -> np.ndarray:
     """Evaluation grid for profile curves: 1, 1.1, ... up to ``r_max``
     (or ``num`` log-spaced points when ``log``)."""
+    check_r_max(r_max, "default_tau_grid")
     if log:
         return np.geomspace(1.0, r_max, num=num)
     steps = int(round((r_max - 1.0) / 0.1))

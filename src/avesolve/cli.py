@@ -174,6 +174,7 @@ def _run_grid(args) -> int:
     for s in solvers:
         Method(s)
     cfg = _config_from_args(args)
+    bench_mod.check_r_max(args.r_max, "--r-max")
     records = bench_mod.run_bench(problems, solvers, cfg, repeats=args.repeats, seed=args.seed)
     tau_grid = bench_mod.default_tau_grid(args.r_max, log=args.log_tau) if args.want_curves else None
     table, summary = bench_mod.write_grid_outputs(

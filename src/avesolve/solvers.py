@@ -50,7 +50,6 @@ import scipy.sparse as sp
 
 from .core import AveProblem, GMatrix, residual, rho, theta_k
 from .linalg import (
-    EPS,
     SingularMatrixError,
     lu_factor,
     lu_operand,
@@ -161,14 +160,14 @@ class SolverConfig:
             raise ValueError(f"SolverConfig: gamma must be in (0, 2), got {self.gamma}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"SolverConfig: delta must be in (0, 1), got {self.delta}")
-        if not self.epsilon > 0.0:
-            raise ValueError("SolverConfig: epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"SolverConfig: epsilon must be finite and > 0, got {self.epsilon}")
         if self.max_iter < 0:
             raise ValueError("SolverConfig: max_iter must be nonnegative")
-        if not self.omega > 0.0:
-            raise ValueError(f"SolverConfig: omega must be positive, got {self.omega}")
-        if self.theta is not None and not self.theta >= 0.0:
-            raise ValueError("SolverConfig: fixed theta must be nonnegative")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(f"SolverConfig: omega must be finite and > 0, got {self.omega}")
+        if self.theta is not None and not 0.0 <= self.theta < math.inf:
+            raise ValueError(f"SolverConfig: theta must be finite and >= 0, got {self.theta}")
         if not 0.0 < self.nu < 1.0:
             raise ValueError(f"SolverConfig: nu must be in (0, 1), got {self.nu}")
         if self.alpha_mode not in ALPHA_MODES:
@@ -451,7 +450,6 @@ def _solve_to_criterion(
     accepts: Callable[[np.ndarray], bool],
     max_inner: int,
     what: str,
-    op_norm: float,
 ):
     """Inner solves of ``space.op y = rhs`` through ``space.solve`` until
     ``accepts`` passes on the returned candidate, halving the residual
@@ -467,31 +465,28 @@ def _solve_to_criterion(
     continues one LSQR run where the previous attempt, or the previous
     solve of the same system, stopped.
 
-    A candidate whose true residual has reached the roundoff scale of the
-    system, ``16 eps (||op|| ||x|| + ||rhs||)``, is accepted even when the
-    requested bound is smaller: no double-precision solve, direct or
-    iterative, can certify a residual below that scale, so the candidate
-    already is an exact solve for every representable purpose.
-    ``op_norm`` is an estimate of ``||op||`` for that scale.  A candidate of
-    a first attempt that was deflated does not take the escape: its
-    ``Y W^T`` corrections leave rounding errors of that scale in the
+    A candidate that ``accepts`` refuses is still taken when its LSQR run
+    vouched for it, by stopping at ``ResidualTol`` or ``Roundoff``.  At
+    ``ResidualTol`` the true residual met the target, so the refusal is
+    rounding in the caller's own evaluation of that residual; at
+    ``Roundoff`` double precision cannot push the residual any lower, so
+    the candidate already is an exact solve for every representable
+    purpose.  A candidate of a first attempt that was deflated is retried
+    instead: its ``Y W^T`` corrections leave rounding errors in the
     residual without a single LSQR iteration spent on them, and one retry
-    removes them.
+    removes them.  ``MaxIter`` and ``Breakdown`` stops are retried.
     """
     inner_total = 0
     x_warm = x_start
-    rhs_norm = norm2(rhs)
     deflated_first = isinstance(space, Deflation) and space.size > 0
     for attempt in range(INNER_RETRY_LIMIT + 1):
         cand, res = space.solve(rhs, x_warm, target, max_inner)
         inner_total += res.iterations
         if accepts(cand):
             return cand, inner_total
-        if not (attempt == 0 and deflated_first):
-            rn = norm2(rhs - space.op.matvec(cand))
-            floor = 16.0 * EPS * (op_norm * norm2(cand) + rhs_norm)
-            if rn <= floor:
-                return cand, inner_total
+        vouched = res.stop_reason in (LsqrStop.RESIDUAL_TOL, LsqrStop.ROUNDOFF)
+        if vouched and not (attempt == 0 and deflated_first):
+            return cand, inner_total
         x_warm = cand
         target *= 0.5
     raise InnerSolverStallError(
@@ -530,8 +525,6 @@ def drs_inexact(
             # ||A^T G|| = ||G A||, which under the identity metric is ||A||.
             GA = p.A if cfg.G.is_identity else sp.diags(cfg.G.diag) @ p.A
             atg_norm = matrix_norm2_estimate(GA, tol=1e-8)
-        shared = theoretical and cfg.G.is_identity
-        a_norm = atg_norm if shared else matrix_norm2_estimate(p.A, tol=1e-6)
 
         def step(x, k, e, en):
             rk = rho(cfg.G, e)
@@ -554,9 +547,8 @@ def drs_inexact(
             def accepts(cand: np.ndarray) -> bool:
                 return norm2(theta(cand)) <= bound
 
-            return _solve_to_criterion(
-                space, rhs, x, 0.5 * bound, accepts, max_inner, "drs_inexact", a_norm
-            )
+            target = 0.5 * bound
+            return _solve_to_criterion(space, rhs, x, target, accepts, max_inner, "drs_inexact")
 
         return step
 
@@ -595,17 +587,15 @@ def newton_exact(
     return _drive(p, cfg, x0, make_step, callback)
 
 
-def resolve_newton_theta(p: AveProblem, cfg: SolverConfig) -> tuple[float, float | None]:
-    """Inexactness bound for ``newton_inexact`` and the ``||A||`` estimate
-    it was derived from.
+def resolve_newton_theta(p: AveProblem, cfg: SolverConfig) -> float:
+    """Inexactness bound ``theta`` for ``newton_inexact``.
 
-    A fixed ``cfg.theta`` is returned as-is, with ``None`` for the norm.
-    Otherwise the bound
+    A fixed ``cfg.theta`` is returned as-is.  Otherwise the bound
     ``0.9999 (1 - 3 ||A^{-1}||) / (||A^{-1}|| (||A|| + 3))`` is evaluated
     from norm estimates; it only exists for ``||A^{-1}|| < 1/3``.
     """
     if cfg.theta is not None:
-        return cfg.theta, None
+        return cfg.theta
     norm_A = matrix_norm2_estimate(p.A, tol=1e-8)
     sigma_min = sigma_min_estimate(p.A, tol=1e-8)
     inv_norm = np.inf if sigma_min == 0.0 else 1.0 / sigma_min
@@ -614,7 +604,7 @@ def resolve_newton_theta(p: AveProblem, cfg: SolverConfig) -> tuple[float, float
             f"newton_inexact: derived theta needs ||A^-1|| < 1/3, "
             f"estimated ||A^-1|| = {inv_norm:.4f}"
         )
-    return 0.9999 * (1.0 - 3.0 * inv_norm) / (inv_norm * (norm_A + 3.0)), norm_A
+    return 0.9999 * (1.0 - 3.0 * inv_norm) / (inv_norm * (norm_A + 3.0))
 
 
 def newton_inexact(
@@ -639,16 +629,13 @@ def newton_inexact(
     has gone as far as double precision takes that system, so an
     unconverged step with its pattern ends the solve as ``STAGNATED``.
     """
-    theta, norm_A = resolve_newton_theta(p, cfg)
+    theta = resolve_newton_theta(p, cfg)
     if theta == 0.0:
         return newton_exact(p, cfg, x0, callback)
 
     def make_step():
         max_inner = cfg.inner_max_iter if cfg.inner_max_iter is not None else 10 * p.n
         AT = transposed(p.A)
-        # ||A - diag(sign(x))|| <= ||A|| + 1, a tight enough scale here; a
-        # derived theta comes with its ||A|| estimate.
-        jac_norm = (norm_A if norm_A is not None else matrix_norm2_estimate(p.A, tol=1e-6)) + 1.0
         run, prev = None, None
 
         def step(x, k, e, en):
@@ -668,9 +655,7 @@ def newton_inexact(
             def accepts(cand: np.ndarray) -> bool:
                 return norm2(p.A @ cand - s * cand - p.b) <= bound
 
-            return _solve_to_criterion(
-                run, p.b, x, bound, accepts, max_inner, "newton_inexact", jac_norm
-            )
+            return _solve_to_criterion(run, p.b, x, bound, accepts, max_inner, "newton_inexact")
 
         return step
 

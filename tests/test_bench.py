@@ -276,6 +276,23 @@ class TestCsvIo:
         assert set(m["problems"]) == set(problems)
 
 
+@pytest.mark.parametrize("r_max", [1.0, np.inf, np.nan], ids=["one", "inf", "nan"])
+class TestRatioCeilingValidation:
+    def test_performance_ratios(self, r_max):
+        with pytest.raises(ValueError, match="r_max must be finite and exceed 1"):
+            performance_ratios(HAND_RECORDS, r_max=r_max)
+
+    def test_profile_table(self, r_max):
+        table = performance_ratios(HAND_RECORDS)
+        with pytest.raises(ValueError, match="r_max must be finite and exceed 1"):
+            ProfileTable(table.ratios, table.converged, r_max, table.solver_ids, table.problem_ids)
+
+    @pytest.mark.parametrize("log", [False, True], ids=["linear", "log"])
+    def test_default_tau_grid(self, r_max, log):
+        with pytest.raises(ValueError, match="r_max must be finite and exceed 1"):
+            default_tau_grid(r_max, log=log)
+
+
 class TestProfileTableValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -288,11 +305,16 @@ class TestProfileTableValidation:
             )
 
 
+def load_script(name):
+    script = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_profile_demo_writes_grid_outputs(tmp_path, capsys):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "profile_demo.py"
-    spec = importlib.util.spec_from_file_location("profile_demo", script)
-    demo = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(demo)
+    demo = load_script("profile_demo")
     out = tmp_path / "demo"
     demo.main(["--problems", "2", "--n", "20", "--repeats", "1", "--measure", "iterations",
                "--out", str(out)])
@@ -305,3 +327,12 @@ def test_profile_demo_writes_grid_outputs(tmp_path, capsys):
     assert header[0] == "solver,efficiency_percent,robustness_percent"
     assert [row.split(",")[0] for row in header[1:]] == solvers
     assert "efficiency" in capsys.readouterr().out
+
+
+def test_tridiag_iteration_table_prints_one_row_per_run(capsys):
+    load_script("tridiag_iteration_table").main(["--sizes", "20", "40"])
+    header, *rows = capsys.readouterr().out.strip().splitlines()
+    assert header.split()[:4] == ["n", "solver", "status", "iters"]
+    assert [r.split()[:3] for r in rows] == [
+        [n, solver, "Converged"] for n in ("20", "40") for solver in ("drs", "sor-like")
+    ]

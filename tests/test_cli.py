@@ -179,6 +179,20 @@ class TestSolve:
         assert err.startswith("error: ") and next(iter(overrides)) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "method, flag, name",
+        [("drs", "--eps", "epsilon"), ("sor-like", "--omega", "omega"),
+         ("inexact-newton", "--theta", "theta")],
+    )
+    def test_non_finite_parameter_is_input_error(self, tridiag_bundle, capsys, method, flag, name):
+        code = main(
+            ["solve", "--problem", str(tridiag_bundle), "--method", method, flag, "inf"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: SolverConfig: {name} must be finite and ")
+        assert err.endswith(", got inf\n")
+
     def test_g_diag_file(self, tridiag_bundle, tmp_path):
         gfile = tmp_path / "g.txt"
         gfile.write_text("".join(f"{v}\n" for v in np.linspace(0.5, 2.0, 20)))
@@ -276,6 +290,19 @@ class TestBenchAndProfile:
         )
         assert code == 1
         assert "magic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bench", "profile"])
+    @pytest.mark.parametrize("r_max", ["inf", "nan", "1"])
+    def test_bad_r_max_is_input_error(self, bundles, tmp_path, capsys, command, r_max):
+        out = tmp_path / "z"
+        code = main(
+            [command, "--problems", *map(str, bundles), "--solvers", "drs",
+             "--r-max", r_max, "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: --r-max: r_max must be finite and exceed 1, got {float(r_max)}\n"
+        assert not out.exists()
 
     def test_duplicate_bundle_ids(self, bundles, tmp_path, capsys):
         code = main(

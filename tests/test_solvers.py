@@ -24,7 +24,7 @@ from avesolve.linalg import (
     lu_solve,
     norm2,
 )
-from avesolve.lsqr import as_operator, lsqr_solve
+from avesolve.lsqr import LsqrStop, as_operator, lsqr_solve
 from avesolve.solvers import (
     ContinuedRun,
     Deflation,
@@ -90,6 +90,9 @@ class TestConfigValidation:
             {"theta": float("nan")},
             {"mu": float("nan")},
             {"divergence_threshold": float("nan")},
+            {"epsilon": float("inf")},
+            {"omega": float("inf")},
+            {"theta": float("inf")},
         ],
     )
     def test_rejected(self, kwargs):
@@ -99,6 +102,12 @@ class TestConfigValidation:
     def test_accepts_numpy_scalars_and_int_floats(self):
         cfg = SolverConfig(gamma=np.float64(1.5), max_iter=np.int64(7), mu=2, k_max=np.int32(3))
         assert (cfg.gamma, cfg.max_iter, cfg.mu, cfg.k_max) == (1.5, 7, 2, 3)
+
+    def test_infinite_mu_and_divergence_threshold_accepted(self):
+        # mu = inf collapses the theoretical schedule to the exact method;
+        # divergence_threshold = inf never declares divergence.
+        cfg = SolverConfig(mu=float("inf"), divergence_threshold=float("inf"))
+        assert cfg.mu == cfg.divergence_threshold == float("inf")
 
     def test_defaults_valid(self):
         cfg = SolverConfig()
@@ -256,13 +265,15 @@ class TestDrsInexact:
             drs_inexact(p, cfg, x0=gen_x0(5, seed=10))
 
     def test_roundoff_floor_accepts_machine_exact_candidate(self):
-        # An unreachable bound must not stall once the candidate residual
-        # is at the roundoff scale of the system.
+        # A target far below the roundoff scale of the system and a check
+        # that never passes must not stall: once an LSQR run stops at
+        # ResidualTol or Roundoff, its candidate is taken.
         space = ContinuedRun(as_operator(np.eye(2)))
         rhs = np.array([1.0, -2.0])
         sol, _ = _solve_to_criterion(
-            space, rhs, np.zeros(2), 0.0, lambda cand: False, 50, "probe", 1.0
+            space, rhs, np.zeros(2), 1e-300, lambda cand: False, 50, "probe"
         )
+        assert space.res.stop_reason in (LsqrStop.RESIDUAL_TOL, LsqrStop.ROUNDOFF)
         npt.assert_allclose(sol, rhs, rtol=0, atol=1e-12)
 
     def test_inexact_finishes_when_late_bounds_fall_below_roundoff(self):
@@ -299,15 +310,17 @@ class TestDeflation:
         assert norm2(rhs - A @ cand) <= target + floor
 
     def test_continued_run_retry_matches_resumed_lsqr(self):
-        """Through a ContinuedRun, the retry resumes the first attempt's
-        LSQR run at half the target, bit for bit."""
+        """Through a ContinuedRun, the retry after a MaxIter stop resumes
+        the first attempt's LSQR run at half the target, bit for bit."""
         rng = np.random.default_rng(31)
         A = rng.standard_normal((40, 40)) + 8.0 * np.eye(40)
         rhs = rng.standard_normal(40)
         x = rng.standard_normal(40)
         target = 1e-3 * norm2(rhs)
-        first = lsqr_solve(A, rhs, target, x0=x, max_iter=400)
-        second = lsqr_solve(A, rhs, 0.5 * target, max_iter=400, resume=first)
+        max_inner = 3
+        first = lsqr_solve(A, rhs, target, x0=x, max_iter=max_inner)
+        assert first.stop_reason is LsqrStop.MAX_ITER
+        second = lsqr_solve(A, rhs, 0.5 * target, max_iter=max_inner, resume=first)
         seen = []
 
         def accepts(cand):
@@ -315,7 +328,7 @@ class TestDeflation:
             return len(seen) == 2
 
         sol, inner = _solve_to_criterion(
-            ContinuedRun(as_operator(A)), rhs, x, target, accepts, 400, "probe", 10.0
+            ContinuedRun(as_operator(A)), rhs, x, target, accepts, max_inner, "probe"
         )
         npt.assert_array_equal(seen[0], first.solution)
         npt.assert_array_equal(sol, second.solution)
@@ -338,7 +351,7 @@ class TestDeflation:
             (Deflation(A, k=2, Y=np.eye(4)[:, :2] / [1.0, 2.0], W=np.eye(4)[:, :2]), 2),
         ]:
             calls.clear()
-            sol, _ = _solve_to_criterion(space, rhs, np.zeros(4), 0.0, never, 50, "probe", 8.0)
+            sol, _ = _solve_to_criterion(space, rhs, np.zeros(4), 1e-20, never, 50, "probe")
             npt.assert_allclose(A @ sol, rhs, rtol=0, atol=1e-12)
             assert len(calls) == attempts
 
@@ -493,7 +506,7 @@ class TestNewton:
 
     def test_auto_theta_value_against_norm_oracles(self):
         p = small_random_problem(13, n=30, target=3.5)
-        theta = resolve_newton_theta(p, SolverConfig())[0]
+        theta = resolve_newton_theta(p, SolverConfig())
         A = p.A.toarray()
         s = np.linalg.svd(A, compute_uv=False)
         inv_norm, norm_a = 1.0 / s[-1], s[0]
@@ -510,7 +523,7 @@ class TestNewton:
         # sigma_min >= 6 against a true 6.0026.
         rep = check_solvability(p)
         from_report = 0.9999 * (1.0 - 3.0 * rep.inv_norm) / (rep.inv_norm * (rep.norm_A + 3.0))
-        theta = resolve_newton_theta(p, SolverConfig())[0]
+        theta = resolve_newton_theta(p, SolverConfig())
         assert from_report <= theta
         assert from_report == pytest.approx(theta, rel=rel)
 
@@ -518,14 +531,14 @@ class TestNewton:
         # sigma_min = 1 means ||A^-1|| = 1 >= 1/3.
         p = AveProblem(np.array([[1.0, 2.0], [-2.0 / 3.0, 1.0]]), np.zeros(2))
         with pytest.raises(ThetaUndefinedError):
-            resolve_newton_theta(p, SolverConfig())[0]
+            resolve_newton_theta(p, SolverConfig())
         with pytest.raises(ThetaUndefinedError):
             newton_inexact(p, x0=np.zeros(2))
 
     def test_theta_undefined_on_singular(self):
         p = AveProblem(np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros(2))
         with pytest.raises(ThetaUndefinedError):
-            resolve_newton_theta(p, SolverConfig())[0]
+            resolve_newton_theta(p, SolverConfig())
 
     def test_exact_stagnates_on_repeated_sign_pattern(self):
         # The residual freezes above epsilon from k = 3 on; the run used to
@@ -588,17 +601,18 @@ class TestNewton:
     "solver, cfg, estimates",
     [
         (newton_inexact, SolverConfig(), 1),
-        (newton_inexact, SolverConfig(theta=0.05), 1),
-        (drs_inexact, SolverConfig(), 1),
+        (newton_inexact, SolverConfig(theta=0.05), 0),
+        (drs_inexact, SolverConfig(), 0),
         (drs_inexact, SolverConfig(alpha_mode="theoretical", mu=1.0), 1),
         (drs_inexact, SolverConfig(alpha_mode="theoretical", mu=1.0,
-                                   G=GMatrix.diagonal(np.linspace(1.0, 2.0, 40))), 2),
+                                   G=GMatrix.diagonal(np.linspace(1.0, 2.0, 40))), 1),
     ],
     ids=["newton-derived-theta", "newton-fixed-theta", "drs-heuristic",
          "drs-theoretical", "drs-theoretical-diagonal-metric"],
 )
 def test_norm_estimates_per_inexact_solve(monkeypatch, solver, cfg, estimates):
-    """Each solve estimates ||A|| once; a diagonal metric adds ||G A||."""
+    """Only a derived theta (||A||) and the theoretical alpha (||G A||)
+    estimate a norm, once per solve."""
     calls = []
     estimate = solvers.matrix_norm2_estimate
 
