@@ -20,7 +20,9 @@ from avesolve.bench import (
     read_ratios_csv,
     run_bench,
     write_bench_manifest,
+    write_grid_outputs,
 )
+from avesolve.core import AveProblem
 from avesolve.generators import GeneratorSpec, gen_random_sparse
 from avesolve.solvers import SolveStatus
 
@@ -274,6 +276,61 @@ class TestCsvIo:
         assert m["seed"] == 7
         assert m["measure"] == "time"
         assert set(m["problems"]) == set(problems)
+
+
+# Iteration counts per row for solvers a, b, c; None marks a failed cell.
+# tie0 ties at zero cost, fail and none hold failures (none fails in every
+# cell), cap saturates at r_max, mid and slow give non-terminating shares.
+GOLDEN_ITERATIONS = {
+    "tie0": (0, 0, 5),
+    "fail": (3, None, 7),
+    "none": (None, None, None),
+    "cap": (4, 4, 100),
+    "mid": (6, 9, 6),
+    "slow": (10, 3, 30),
+}
+
+GOLDEN_CSV = {
+    "ratios.csv": (
+        "problem_id,a,b,c\n"
+        "tie0,1,1,10\n"
+        "fail,1,10,2.3333333333333335\n"
+        "none,10,10,10\n"
+        "cap,1,1,10\n"
+        "mid,1,1.5,1\n"
+        "slow,3.3333333333333335,1,10\n"
+    ),
+    "curves.csv": (
+        "tau,a,b,c\n"
+        "1,0.66666666666666663,0.5,0.16666666666666666\n"
+        "2.3333333333333335,0.66666666666666663,0.66666666666666663,0.33333333333333331\n"
+        "10,1,1,1\n"
+    ),
+    "summary.csv": (
+        "solver,efficiency_percent,robustness_percent\n"
+        "a,66.666666666666671,83.333333333333329\n"
+        "b,50,66.666666666666671\n"
+        "c,16.666666666666668,83.333333333333329\n"
+    ),
+}
+
+
+def test_grid_outputs_golden_bytes(tmp_path):
+    """The three CSV files keep their exact bytes: ``%.17g`` numbers, rows
+    in record order, 0 = 0 ties at 1, failures and saturation at r_max."""
+    records = [
+        rec(pid, sid, 0.5, it=it or 0,
+            status=SolveStatus.MAX_ITER_REACHED if it is None else SolveStatus.CONVERGED)
+        for pid, row in GOLDEN_ITERATIONS.items()
+        for sid, it in zip("abc", row)
+    ]
+    records[7] = rec("none", "b", 0.0, it=0, status=None, error="ThetaUndefinedError: x")
+    problems = {pid: AveProblem(2.0 * np.eye(2), np.ones(2)) for pid in GOLDEN_ITERATIONS}
+    write_grid_outputs(tmp_path, records, problems, list("abc"), bench_config(), repeats=1,
+                       measure="iterations", seed=0, r_max=10.0,
+                       tau_grid=np.array([1.0, 7.0 / 3.0, 10.0]))
+    for name, expected in GOLDEN_CSV.items():
+        assert (tmp_path / name).read_bytes() == expected.encode()
 
 
 @pytest.mark.parametrize("r_max", [1.0, np.inf, np.nan], ids=["one", "inf", "nan"])
