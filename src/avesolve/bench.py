@@ -196,33 +196,22 @@ def performance_ratios(
         if key in cell:
             raise IncompleteGridError(f"duplicate record for {key}")
         cell[key] = r
-    missing = [
-        (p, s) for p in problem_ids for s in solver_ids if (p, s) not in cell
-    ]
+    grid = [(p, s) for p in problem_ids for s in solver_ids]
+    missing = [key for key in grid if key not in cell]
     if missing:
         raise IncompleteGridError(f"missing grid cells: {missing[:5]}")
 
-    P, S = len(problem_ids), len(solver_ids)
-    ratios = np.full((P, S), r_max, dtype=np.float64)
-    converged = np.zeros((P, S), dtype=bool)
-    for i, pid in enumerate(problem_ids):
-        row = [cell[(pid, sid)] for sid in solver_ids]
-        costs = []
-        for rec in row:
-            converged_cell = rec.converged
-            if measure == "time":
-                costs.append(rec.mean_time if converged_cell else np.inf)
-            else:
-                costs.append(float(rec.iterations) if converged_cell else np.inf)
-        best = min(costs)
-        for j, (rec, cost) in enumerate(zip(row, costs)):
-            converged[i, j] = rec.converged
-            if not rec.converged:
-                continue
-            if best == 0.0:
-                ratios[i, j] = 1.0 if cost == 0.0 else r_max
-            elif np.isfinite(best):
-                ratios[i, j] = min(cost / best, r_max)
+    cells = [cell[key] for key in grid]
+    shape = (len(problem_ids), len(solver_ids))
+    converged = np.array([r.converged for r in cells], dtype=bool).reshape(shape)
+    attr = "mean_time" if measure == "time" else "iterations"
+    cost = np.array([getattr(r, attr) for r in cells], dtype=np.float64).reshape(shape)
+    cost[~converged] = np.inf
+    best = cost.min(axis=1, keepdims=True, initial=np.inf)
+    # Ties (0 = 0 included) are exactly 1; c / 0, inf / b and inf / inf
+    # (a row without a finisher) all end at the ceiling.
+    with np.errstate(all="ignore"):
+        ratios = np.where(converged & (cost == best), 1.0, np.fmin(cost / best, r_max))
     return ProfileTable(
         ratios=ratios,
         converged=converged,
@@ -278,12 +267,17 @@ def efficiency_robustness(table: ProfileTable) -> dict[str, tuple[float, float]]
     converged on.  Efficiency never exceeds robustness.
     """
     P = len(table.problem_ids)
-    out = {}
-    for j, sid in enumerate(table.solver_ids):
-        wins = np.count_nonzero(table.converged[:, j] & (table.ratios[:, j] <= 1.0))
-        conv = np.count_nonzero(table.converged[:, j])
-        out[sid] = (100.0 * wins / P, 100.0 * conv / P)
-    return out
+    eff = 100.0 * np.count_nonzero(table.converged & (table.ratios <= 1.0), axis=0) / P
+    rob = 100.0 * np.count_nonzero(table.converged, axis=0) / P
+    return dict(zip(table.solver_ids, zip(eff, rob)))
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV lines; strings are written as
+    they are, numbers as ``%.17g`` so they read back bit for bit."""
+    with open(path, "w") as f:
+        for row in (header, *rows):
+            f.write(",".join(v if isinstance(v, str) else "%.17g" % v for v in row) + "\n")
 
 
 def emit_csv(obj, path) -> None:
@@ -294,10 +288,8 @@ def emit_csv(obj, path) -> None:
     Curves: header ``tau,<solver>...``, one row per grid point.
     """
     if isinstance(obj, ProfileTable):
-        with open(path, "w") as f:
-            f.write("problem_id," + ",".join(obj.solver_ids) + "\n")
-            for i, pid in enumerate(obj.problem_ids):
-                f.write(pid + "," + ",".join("%.17g" % v for v in obj.ratios[i]) + "\n")
+        rows = ((pid, *r) for pid, r in zip(obj.problem_ids, obj.ratios))
+        _write_csv(path, ("problem_id", *obj.solver_ids), rows)
         return
     if isinstance(obj, dict):
         solver_ids = list(obj.keys())
@@ -307,15 +299,8 @@ def emit_csv(obj, path) -> None:
         for sid in solver_ids[1:]:
             if [t for t, _ in obj[sid]] != taus:
                 raise ValueError("emit_csv: curves must share one tau grid")
-        with open(path, "w") as f:
-            f.write("tau," + ",".join(solver_ids) + "\n")
-            for i, t in enumerate(taus):
-                f.write(
-                    "%.17g" % t
-                    + ","
-                    + ",".join("%.17g" % obj[sid][i][1] for sid in solver_ids)
-                    + "\n"
-                )
+        values = ([v for _, v in obj[sid]] for sid in solver_ids)
+        _write_csv(path, ("tau", *solver_ids), zip(taus, *values))
         return
     raise TypeError(f"emit_csv: unsupported object type {type(obj)!r}")
 
@@ -389,9 +374,9 @@ def write_grid_outputs(
     if tau_grid is not None:
         emit_csv(profile_curves(table, tau_grid), os.path.join(out_dir, "curves.csv"))
     summary = efficiency_robustness(table)
-    with open(os.path.join(out_dir, "summary.csv"), "w") as f:
-        f.write("solver,efficiency_percent,robustness_percent\n")
-        for sid in table.solver_ids:
-            eff, rob = summary[sid]
-            f.write(f"{sid},{eff:.17g},{rob:.17g}\n")
+    _write_csv(
+        os.path.join(out_dir, "summary.csv"),
+        ("solver", "efficiency_percent", "robustness_percent"),
+        ((sid, *summary[sid]) for sid in table.solver_ids),
+    )
     return table, summary

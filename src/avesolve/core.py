@@ -110,6 +110,8 @@ class AveProblem:
     ``A`` is a square dense array or CSR matrix, ``b`` the right-hand side,
     ``known_solution`` an optional reference solution (checked on
     construction so stored problems cannot drift from their certificate).
+    All three are copied, so later edits of the caller's arrays do not
+    reach the problem.
     """
 
     A: object
@@ -118,19 +120,19 @@ class AveProblem:
 
     def __post_init__(self) -> None:
         if is_sparse(self.A):
-            M = sp.csr_matrix(self.A)
+            M = sp.csr_matrix(self.A, copy=True)
             M.sum_duplicates()
             M.sort_indices()
             self.A = M
             if not np.all(np.isfinite(M.data)):
                 raise ValueError("AveProblem: A has non-finite entries")
         else:
-            self.A = np.asfortranarray(np.asarray(self.A, dtype=np.float64))
+            self.A = np.array(self.A, dtype=np.float64, order="F", copy=True)
             if not np.all(np.isfinite(self.A)):
                 raise ValueError("AveProblem: A has non-finite entries")
         if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1] or self.A.shape[0] == 0:
             raise ValueError(f"AveProblem: A must be square and nonempty, got shape {self.A.shape}")
-        self.b = np.asarray(self.b, dtype=np.float64).reshape(-1)
+        self.b = np.array(self.b, dtype=np.float64).reshape(-1)
         if self.b.shape[0] != self.A.shape[0]:
             raise ValueError(
                 f"AveProblem: b has length {self.b.shape[0]}, expected {self.A.shape[0]}"
@@ -138,7 +140,7 @@ class AveProblem:
         if not np.all(np.isfinite(self.b)):
             raise ValueError("AveProblem: b has non-finite entries")
         if self.known_solution is not None:
-            xs = np.asarray(self.known_solution, dtype=np.float64).reshape(-1)
+            xs = np.array(self.known_solution, dtype=np.float64).reshape(-1)
             if xs.shape[0] != self.A.shape[0]:
                 raise ValueError("AveProblem: known_solution has wrong length")
             self.known_solution = xs

@@ -14,20 +14,21 @@ length n) exactly when that is smaller than dense storage, i.e. when
 
 :func:`singular_value_bounds` encloses the smallest and the largest
 singular value in intervals that hold despite rounding; the solvability
-certificate rests on them.  It chooses its storage like the LU: densely
-stored matrices get LAPACK's singular values with a backward-error padding,
-band-stored ones O(nnz) norm and Gershgorin-type bounds.
+certificate and the theoretical step scale of ``drs_inexact`` rest on them.
+It chooses its storage like the LU: densely stored matrices get LAPACK's
+singular values with a backward-error padding, band-stored ones O(nnz) norm
+and Gershgorin-type bounds.
 
 The spectral-norm and smallest-singular-value estimates feed only the
-derived inexact-Newton ``theta``, the step scales of ``drs_inexact`` and the
-rescaling of the random generator.  They use power iteration on ``A^T A``
-(inverse power iteration through an LU factorization for the smallest).  The
-iteration stops once the Rayleigh quotient stabilizes, so on matrices whose
-extreme singular values are tightly clustered the returned value carries the
-cluster's width as error; on matrices with a spectral gap it is accurate to
-roughly ``tol``.  Neither estimate fails: after ``max_iter`` sweeps it
-returns the last one, and a numerically singular matrix has smallest
-singular value ``0.0``.
+derived inexact-Newton ``theta``, the rescaling of the random generator and
+``build_manifest``'s ``sigma_min_achieved``.  They use power iteration on
+``A^T A`` (inverse power iteration through an LU factorization for the
+smallest).  The iteration stops once the Rayleigh quotient stabilizes, so on
+matrices whose extreme singular values are tightly clustered the returned
+value carries the cluster's width as error; on matrices with a spectral gap
+it is accurate to roughly ``tol``.  Neither estimate fails: after
+``max_iter`` sweeps it returns the last one, and a numerically singular
+matrix has smallest singular value ``0.0``.
 """
 
 from __future__ import annotations

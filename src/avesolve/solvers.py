@@ -58,6 +58,7 @@ from .linalg import (
     norm2,
     sigma_min_estimate,
     sign_diag,
+    singular_value_bounds,
     transposed,
 )
 from .lsqr import LsqrStop, MatOperator, lsqr_solve
@@ -523,8 +524,9 @@ def drs_inexact(
         theoretical = cfg.alpha_mode == "theoretical"
         if theoretical:
             # ||A^T G|| = ||G A||, which under the identity metric is ||A||.
+            # The bound must not fall below it, or alpha exceeds the schedule.
             GA = p.A if cfg.G.is_identity else sp.diags(cfg.G.diag) @ p.A
-            atg_norm = matrix_norm2_estimate(GA, tol=1e-8)
+            atg_norm = singular_value_bounds(GA)[3]
 
         def step(x, k, e, en):
             rk = rho(cfg.G, e)

@@ -108,6 +108,39 @@ class TestPerformanceRatios:
         with pytest.raises(ValueError, match="measure"):
             performance_ratios(HAND_RECORDS, measure="flops")
 
+    @pytest.mark.parametrize("measure", ["time", "iterations"])
+    def test_matches_cell_by_cell_reference(self, measure):
+        """The array expression gives the bits of the per-cell definition:
+        failures at r_max, 0 = 0 ties at 1, c / 0 at r_max, else
+        min(c / best, r_max)."""
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            P, S = rng.integers(1, 5), rng.integers(1, 5)
+            records = [
+                rec(f"p{i}", f"s{j}", float(rng.choice([0.0, 0.5, rng.uniform(0.0, 3.0), 1e300])),
+                    it=int(rng.choice([0, 1, 3, rng.integers(0, 100)])),
+                    status=rng.choice([SolveStatus.CONVERGED, SolveStatus.DIVERGED, None]))
+                for i in range(P) for j in range(S)
+            ]
+            rng.shuffle(records)
+            r_max = float(rng.choice([1.5, 20.0]))
+            table = performance_ratios(records, r_max=r_max, measure=measure)
+            cell = {(r.problem_id, r.solver_id): r for r in records}
+            for i, pid in enumerate(table.problem_ids):
+                row = [cell[pid, sid] for sid in table.solver_ids]
+                costs = [float(getattr(r, "mean_time" if measure == "time" else "iterations"))
+                         if r.converged else np.inf for r in row]
+                best = min(costs)
+                for j, (r, c) in enumerate(zip(row, costs)):
+                    if not r.converged:
+                        expected = r_max
+                    elif best == 0.0:
+                        expected = 1.0 if c == 0.0 else r_max
+                    else:
+                        expected = min(c / best, r_max)
+                    assert table.ratios[i, j] == expected
+                    assert table.converged[i, j] == r.converged
+
 
 class TestCurves:
     def test_hand_values(self):
@@ -324,6 +357,7 @@ def test_grid_outputs_golden_bytes(tmp_path):
         for pid, row in GOLDEN_ITERATIONS.items()
         for sid, it in zip("abc", row)
     ]
+    # One failure in the row "none" is a raised error rather than a status.
     records[7] = rec("none", "b", 0.0, it=0, status=None, error="ThetaUndefinedError: x")
     problems = {pid: AveProblem(2.0 * np.eye(2), np.ones(2)) for pid in GOLDEN_ITERATIONS}
     write_grid_outputs(tmp_path, records, problems, list("abc"), bench_config(), repeats=1,

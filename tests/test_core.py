@@ -22,7 +22,7 @@ from avesolve.core import (
     theta_k,
 )
 from avesolve.generators import GeneratorSpec, gen_random_sparse, gen_tridiag8
-from avesolve.linalg import band_layout, matrix_norm2_estimate, norm2
+from avesolve.linalg import band_layout, norm2, singular_value_bounds
 
 
 def random_problem(seed, n=10, scale=3.0):
@@ -45,12 +45,12 @@ class TestResidual:
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 10_000))
     def test_lipschitz_bound(self, seed):
-        """||e(x) - e(y)|| <= (||A|| + 1) ||x - y||."""
+        """||e(x) - e(y)|| <= (||A|| + 1) ||x - y||, with ||A|| bounded from above."""
         p, rng = random_problem(seed)
         x = rng.uniform(-10.0, 10.0, 10)
         y = rng.uniform(-10.0, 10.0, 10)
         lhs = norm2(residual(p, x) - residual(p, y))
-        bound = (matrix_norm2_estimate(p.A, tol=1e-8) + 1.0) * norm2(x - y)
+        bound = (singular_value_bounds(p.A)[3] + 1.0) * norm2(x - y)
         assert lhs <= bound * (1.0 + 1e-10) + 1e-12
 
 
@@ -230,6 +230,34 @@ class TestProblemValidation:
     def test_dense_carrier_fortran(self):
         p = AveProblem(np.eye(3, order="C"), np.ones(3))
         assert p.A.flags.f_contiguous
+
+    def test_sparse_input_left_untouched_and_unshared(self):
+        # A duplicate entry (0, 1) and unsorted column indices in row 0.
+        A = sp.csr_matrix(
+            (np.array([1.0, 3.0, 1.0, 5.0]), np.array([1, 0, 1, 1]), np.array([0, 3, 4])),
+            shape=(2, 2),
+        )
+        before = [a.copy() for a in (A.data, A.indices, A.indptr)]
+        p = AveProblem(A, np.ones(2))
+        for now, then in zip((A.data, A.indices, A.indptr), before):
+            npt.assert_array_equal(now, then)
+        assert A.nnz == 4
+        npt.assert_array_equal(p.A.toarray(), [[3.0, 2.0], [0.0, 5.0]])
+        A.data[:] = 7.0
+        npt.assert_array_equal(p.A.toarray(), [[3.0, 2.0], [0.0, 5.0]])
+
+    def test_dense_input_unshared(self):
+        # Fortran float64 input is the case a no-copy conversion would keep.
+        A = np.asfortranarray(2.0 * np.eye(2))
+        x = np.array([1.0, 0.5])
+        b = A @ x - np.abs(x)
+        p = AveProblem(A, b, known_solution=x)
+        A[0, 1] = 9.0
+        b[0] = 9.0
+        x[0] = 9.0
+        npt.assert_array_equal(p.A, 2.0 * np.eye(2))
+        npt.assert_array_equal(p.b, [1.0, 0.5])
+        npt.assert_array_equal(p.known_solution, [1.0, 0.5])
 
 
 class TestGMatrix:

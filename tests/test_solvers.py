@@ -598,32 +598,36 @@ class TestNewton:
 
 
 @pytest.mark.parametrize(
-    "solver, cfg, estimates",
+    "solver, cfg, estimates, bounds",
     [
-        (newton_inexact, SolverConfig(), 1),
-        (newton_inexact, SolverConfig(theta=0.05), 0),
-        (drs_inexact, SolverConfig(), 0),
-        (drs_inexact, SolverConfig(alpha_mode="theoretical", mu=1.0), 1),
+        (newton_inexact, SolverConfig(), 1, 0),
+        (newton_inexact, SolverConfig(theta=0.05), 0, 0),
+        (drs_inexact, SolverConfig(), 0, 0),
+        (drs_inexact, SolverConfig(alpha_mode="theoretical", mu=1.0), 0, 1),
         (drs_inexact, SolverConfig(alpha_mode="theoretical", mu=1.0,
-                                   G=GMatrix.diagonal(np.linspace(1.0, 2.0, 40))), 1),
+                                   G=GMatrix.diagonal(np.linspace(1.0, 2.0, 40))), 0, 1),
     ],
     ids=["newton-derived-theta", "newton-fixed-theta", "drs-heuristic",
          "drs-theoretical", "drs-theoretical-diagonal-metric"],
 )
-def test_norm_estimates_per_inexact_solve(monkeypatch, solver, cfg, estimates):
-    """Only a derived theta (||A||) and the theoretical alpha (||G A||)
-    estimate a norm, once per solve."""
-    calls = []
-    estimate = solvers.matrix_norm2_estimate
+def test_norm_estimates_per_inexact_solve(monkeypatch, solver, cfg, estimates, bounds):
+    """Only a derived theta estimates ||A||, once per solve; the theoretical
+    alpha reads the upper bound on ||G A|| instead, also once per solve."""
+    calls = {"estimate": 0, "bounds": 0}
 
-    def counting(A, **kwargs):
-        calls.append(A)
-        return estimate(A, **kwargs)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(solvers, "matrix_norm2_estimate", counting)
+    monkeypatch.setattr(solvers, "matrix_norm2_estimate",
+                        counting("estimate", solvers.matrix_norm2_estimate))
+    monkeypatch.setattr(solvers, "singular_value_bounds",
+                        counting("bounds", solvers.singular_value_bounds))
     p = small_random_problem(12, n=40, target=3.2)
     solver(p, replace(cfg, max_iter=3), x0=gen_x0(40, seed=13))
-    assert len(calls) == estimates
+    assert calls == {"estimate": estimates, "bounds": bounds}
 
 
 class TestSorLike:
