@@ -43,14 +43,7 @@ from .solvers import (
     SolverConfig,
     SolveStatus,
     ThetaUndefinedError,
-    drs_exact,
-    drs_inexact,
-    fixed_point,
-    fixed_point_inverse,
-    newton_exact,
-    newton_inexact,
     run_solver,
-    sor_like,
 )
 from .bench import (
     BenchRecord,

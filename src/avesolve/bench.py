@@ -58,6 +58,11 @@ R_MAX_DEFAULT = 20.0
 # Non-convergence cutoff used by benchmark configurations.
 BENCH_MAX_ITER = 50
 
+# Points of the log-spaced tau grid, and the most a linear grid (step 0.1,
+# so r_max up to about 1001) may take before the log grid is required.
+TAU_LOG_POINTS = 191
+TAU_LINEAR_MAX_POINTS = 10_001
+
 
 class IncompleteGridError(Exception):
     """The record set does not cover the full problem x solver grid."""
@@ -221,13 +226,19 @@ def performance_ratios(
     )
 
 
-def default_tau_grid(r_max: float = R_MAX_DEFAULT, log: bool = False, num: int = 191) -> np.ndarray:
+def default_tau_grid(r_max: float = R_MAX_DEFAULT, log: bool = False) -> np.ndarray:
     """Evaluation grid for profile curves: 1, 1.1, ... up to ``r_max``
-    (or ``num`` log-spaced points when ``log``)."""
+    (or ``TAU_LOG_POINTS`` log-spaced points when ``log``).  A linear grid
+    of more than ``TAU_LINEAR_MAX_POINTS`` points is refused."""
     check_r_max(r_max, "default_tau_grid")
     if log:
-        return np.geomspace(1.0, r_max, num=num)
+        return np.geomspace(1.0, r_max, num=TAU_LOG_POINTS)
     steps = int(round((r_max - 1.0) / 0.1))
+    if steps + 1 > TAU_LINEAR_MAX_POINTS:
+        raise ValueError(
+            f"default_tau_grid: a linear grid up to r_max {r_max:g} takes {steps + 1} "
+            f"points, more than {TAU_LINEAR_MAX_POINTS}; use the log grid (--log-tau)"
+        )
     return np.round(1.0 + 0.1 * np.arange(steps + 1), 10)
 
 

@@ -175,8 +175,8 @@ def _run_grid(args) -> int:
         Method(s)
     cfg = _config_from_args(args)
     bench_mod.check_r_max(args.r_max, "--r-max")
-    records = bench_mod.run_bench(problems, solvers, cfg, repeats=args.repeats, seed=args.seed)
     tau_grid = bench_mod.default_tau_grid(args.r_max, log=args.log_tau) if args.want_curves else None
+    records = bench_mod.run_bench(problems, solvers, cfg, repeats=args.repeats, seed=args.seed)
     table, summary = bench_mod.write_grid_outputs(
         args.out, records, problems, solvers, cfg, args.repeats, args.measure, args.seed,
         r_max=args.r_max, tau_grid=tau_grid,

@@ -1,31 +1,32 @@
 """Iterative solvers for ``A x - |x| - b = 0``.
 
-Seven methods behind one report type:
+Seven methods, selected by :class:`Method` name through :func:`run_solver`,
+behind one report type:
 
-* ``drs_exact``: relaxed splitting step
+* ``drs``: relaxed splitting step
   ``x^{k+1} = x^k - (gamma/2) rho(x^k) A^{-1} G^{-1} e(x^k)`` with
   ``e(x) = A x - |x| - b``; the linear solve uses one LU factorization of
   ``A`` amortized over all iterations.
-* ``drs_inexact``: same step, but ``x^{k+1}`` only has to satisfy
+* ``inexact-drs``: same step, but ``x^{k+1}`` only has to satisfy
   ``||Theta_k(x^{k+1})|| <= alpha_k ||e(x^k)||`` with ``Theta_k`` the affine
   subproblem map; the subproblem is solved matrix-free by warm-started LSQR
   whose residual target enforces exactly that bound.  The inner solves of
   one run share a :class:`Deflation` space of ``DEFLATION_K`` directions
   harvested from their own Lanczos vectors, at a cost of at most
   ``DEFLATION_BASIS + 3 DEFLATION_K = 220`` vectors of length n.
-* ``newton_exact``: generalized Newton step
+* ``newton``: generalized Newton step
   ``[A - diag(sign(x^k))] x^{k+1} = b``, refactored every iteration.
-* ``newton_inexact``: the same linear system solved by LSQR up to
+* ``inexact-newton``: the same linear system solved by LSQR up to
   ``||r_k|| <= theta ||e(x^k)||``, where ``theta`` is either supplied or
   derived from norm estimates of ``A`` (undefined when ``||A^{-1}|| >= 1/3``);
   consecutive steps with one sign pattern continue one LSQR run.
-* ``sor_like``: the two-sequence relaxation
+* ``sor-like``: the two-sequence relaxation
   ``x^{k+1} = (1-omega) x^k + omega A^{-1}(y^k + b)``,
-  ``y^{k+1} = (1-omega) y^k + omega |x^{k+1}|``.
-* ``fixed_point``: ``x^{k+1} = x^k - nu e(x^k)``, inverse-free.
-* ``fixed_point_inverse``: ``x^{k+1} = x^k - nu A^{-1} e(x^k)``, the
-  ``drs_exact`` map with ``gamma = 2 nu`` and the identity metric; it runs
-  as ``drs_exact``.
+  ``y^{k+1} = (1-omega) y^k + omega |x^{k+1}|`` from ``y^0 = x^0``.
+* ``fixed-point``: ``x^{k+1} = x^k - nu e(x^k)``, inverse-free.
+* ``fixed-point-inverse``: ``x^{k+1} = x^k - nu A^{-1} e(x^k)``, the
+  ``drs`` map with ``gamma = 2 nu`` and the identity metric; it runs
+  as ``drs``.
 
 Every solver stops when ``||e(x^k)|| <= epsilon``, declares divergence when
 ``||x^k||`` reaches ``divergence_threshold``, and otherwise gives up at
@@ -70,24 +71,17 @@ __all__ = [
     "SolveReport",
     "ThetaUndefinedError",
     "InnerSolverStallError",
-    "drs_exact",
-    "drs_inexact",
-    "newton_exact",
-    "newton_inexact",
-    "sor_like",
-    "fixed_point",
-    "fixed_point_inverse",
     "run_solver",
     "write_report_trace",
 ]
 
-# Inexactness schedules of drs_inexact, the values of SolverConfig.alpha_mode.
+# Inexactness schedules of inexact-drs, the values of SolverConfig.alpha_mode.
 ALPHA_MODES = ("heuristic", "theoretical")
 
 # Tightening retries granted to an inner LSQR solve before giving up.
 INNER_RETRY_LIMIT = 5
 
-# Directions in the deflation space of a drs_inexact run, and the Lanczos
+# Directions in the deflation space of an inexact-drs run, and the Lanczos
 # vectors an inner run records for the harvest.
 DEFLATION_K = 20
 DEFLATION_BASIS = 8 * DEFLATION_K
@@ -130,7 +124,7 @@ class SolverConfig:
     """Shared knob set for every method; each solver reads what it needs.
 
     ``theta = None`` selects the derived inexact-Newton bound.  The
-    inexactness schedule for ``drs_inexact`` is either ``"heuristic"``
+    inexactness schedule for ``inexact-drs`` is either ``"heuristic"``
     (``alpha_k = min(1, 1/max(1, k - k_max))``) or ``"theoretical"``
     (largest bound compatible with convergence for error-bound constant
     ``mu``; ``mu = inf`` collapses it to the exact method).
@@ -204,6 +198,9 @@ class SolveReport:
     Histories cover iterates ``0..iterations`` inclusive;
     ``inner_iteration_history[k]`` counts the LSQR iterations spent
     producing iterate ``k`` (0 for iterate 0 and for direct methods).
+    ``wall_time`` covers the whole run, set-up included: factorizations,
+    the norm estimates of a derived ``theta``, and the method's option
+    checks.
     """
 
     status: SolveStatus
@@ -216,17 +213,6 @@ class SolveReport:
     wall_time: float
 
 
-def _start_vector(v, n: int, name: str) -> np.ndarray:
-    """A float copy of a start vector, checked for length ``n`` and finite
-    entries."""
-    v = np.array(v, dtype=np.float64, copy=True).reshape(-1)
-    if v.shape[0] != n:
-        raise ValueError(f"{name} has length {v.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} has non-finite entries")
-    return v
-
-
 def _drive(
     p: AveProblem,
     cfg: SolverConfig,
@@ -236,14 +222,17 @@ def _drive(
 ) -> SolveReport:
     """Shared outer loop: stopping rules, histories, timing.
 
-    ``make_step`` runs once before the loop (factorizations, norm
-    estimates) and returns ``step(x, k, e, e_norm) -> (x_next, inner_iters)``
-    or raises SingularMatrixError, which becomes a report status.
+    ``make_step(p, cfg)`` runs once, after iterate 0 is reported and before
+    the loop (option checks, factorizations, norm estimates), and returns
+    ``step(x, k, e, e_norm) -> (x_next, inner_iters)`` or raises
+    SingularMatrixError, which becomes a report status.
     """
-    if x0 is None:
-        raise ValueError("x0 is required")
     t0 = time.perf_counter()
-    x = _start_vector(x0, p.n, "x0")
+    x = np.array(x0, dtype=np.float64, copy=True).reshape(-1)
+    if x.shape[0] != p.n:
+        raise ValueError(f"x0 has length {x.shape[0]}, expected {p.n}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 has non-finite entries")
     if not cfg.G.is_identity and cfg.G.diag.shape[0] != p.n:
         raise ValueError(f"G diagonal has length {cfg.G.diag.shape[0]}, expected {p.n}")
 
@@ -261,7 +250,7 @@ def _drive(
     status: SolveStatus | None = None
     k = 0
     try:
-        step = make_step()
+        step = make_step(p, cfg)
     except SingularMatrixError:
         status = SolveStatus.SINGULAR_SYSTEM
         step = None
@@ -305,25 +294,16 @@ def _drive(
     )
 
 
-def drs_exact(
-    p: AveProblem,
-    cfg: SolverConfig = SolverConfig(),
-    x0: np.ndarray | None = None,
-    callback: Callback | None = None,
-) -> SolveReport:
+def _drs_exact(p: AveProblem, cfg: SolverConfig):
     """Relaxed splitting iteration with exact linear solves."""
+    factors = lu_factor(p.A)
 
-    def make_step():
-        factors = lu_factor(p.A)
+    def step(x, k, e, en):
+        # rho is identically 1 under the identity metric (e != 0 here).
+        coef = 0.5 * cfg.gamma if cfg.G.is_identity else 0.5 * cfg.gamma * rho(cfg.G, e)
+        return x - coef * lu_solve(factors, cfg.G.apply_inv(e)), 0
 
-        def step(x, k, e, en):
-            # rho is identically 1 under the identity metric (e != 0 here).
-            coef = 0.5 * cfg.gamma if cfg.G.is_identity else 0.5 * cfg.gamma * rho(cfg.G, e)
-            return x - coef * lu_solve(factors, cfg.G.apply_inv(e)), 0
-
-        return step
-
-    return _drive(p, cfg, x0, make_step, callback)
+    return step
 
 
 def _heuristic_alpha(k: int, k_max: int) -> float:
@@ -496,73 +476,58 @@ def _solve_to_criterion(
     )
 
 
-def drs_inexact(
-    p: AveProblem,
-    cfg: SolverConfig = SolverConfig(),
-    x0: np.ndarray | None = None,
-    callback: Callback | None = None,
-) -> SolveReport:
+def _drs_inexact(p: AveProblem, cfg: SolverConfig):
     """Relaxed splitting iteration with LSQR subproblem solves.
 
     In theoretical mode an infinite error-bound constant ``mu`` leaves a
-    zero inexactness budget at every step; that run delegates to
-    :func:`drs_exact`.
+    zero inexactness budget at every step; that run is the exact method.
 
     Near convergence on badly scaled problems the step bound
     ``alpha ||e||`` can drop below the roundoff scale of the subproblem;
     such steps are solved to roundoff and accepted, so recomputing the
     bound on them can show a violation at that scale.
     """
-    if cfg.alpha_mode == "theoretical" and cfg.mu is None:
-        raise ValueError("drs_inexact: theoretical alpha schedule requires mu")
-    if cfg.alpha_mode == "theoretical" and cfg.mu == math.inf:
-        return drs_exact(p, cfg, x0, callback)
+    theoretical = cfg.alpha_mode == "theoretical"
+    if theoretical and cfg.mu is None:
+        raise ValueError("inexact-drs: theoretical alpha schedule requires mu")
+    if theoretical and cfg.mu == math.inf:
+        return _drs_exact(p, cfg)
+    space = Deflation(p.A)
+    max_inner = cfg.inner_max_iter if cfg.inner_max_iter is not None else 10 * p.n
+    if theoretical:
+        # ||A^T G|| = ||G A||, which under the identity metric is ||A||.
+        # The bound must not fall below it, or alpha exceeds the schedule.
+        GA = p.A if cfg.G.is_identity else sp.diags(cfg.G.diag) @ p.A
+        atg_norm = singular_value_bounds(GA)[3]
 
-    def make_step():
-        space = Deflation(p.A)
-        max_inner = cfg.inner_max_iter if cfg.inner_max_iter is not None else 10 * p.n
-        theoretical = cfg.alpha_mode == "theoretical"
-        if theoretical:
-            # ||A^T G|| = ||G A||, which under the identity metric is ||A||.
-            # The bound must not fall below it, or alpha exceeds the schedule.
-            GA = p.A if cfg.G.is_identity else sp.diags(cfg.G.diag) @ p.A
-            atg_norm = singular_value_bounds(GA)[3]
+    def step(x, k, e, en):
+        rk = rho(cfg.G, e)
+        if not theoretical:
+            alpha = _heuristic_alpha(k, cfg.k_max)
+        else:
+            alpha = ((1.0 - cfg.delta) * cfg.gamma * (2.0 - cfg.gamma) * rk) / (
+                4.0 * cfg.mu * atg_norm
+                + 2.0 * cfg.gamma * rk
+                + cfg.G.lambda_max
+            )
+        coef = 0.5 * cfg.gamma * rk
+        z = cfg.G.apply_inv(e)
+        # Theta_k(y) = 2 (A y - rhs), so the inner criterion
+        # ||Theta_k|| <= alpha ||e|| maps to a residual target alpha ||e|| / 2.
+        rhs = p.A @ x - coef * z
+        bound = alpha * en
+        theta = theta_k(p, cfg.G, cfg.gamma, x)
 
-        def step(x, k, e, en):
-            rk = rho(cfg.G, e)
-            if not theoretical:
-                alpha = _heuristic_alpha(k, cfg.k_max)
-            else:
-                alpha = ((1.0 - cfg.delta) * cfg.gamma * (2.0 - cfg.gamma) * rk) / (
-                    4.0 * cfg.mu * atg_norm
-                    + 2.0 * cfg.gamma * rk
-                    + cfg.G.lambda_max
-                )
-            coef = 0.5 * cfg.gamma * rk
-            z = cfg.G.apply_inv(e)
-            # Theta_k(y) = 2 (A y - rhs), so the inner criterion
-            # ||Theta_k|| <= alpha ||e|| maps to a residual target alpha ||e|| / 2.
-            rhs = p.A @ x - coef * z
-            bound = alpha * en
-            theta = theta_k(p, cfg.G, cfg.gamma, x)
+        def accepts(cand: np.ndarray) -> bool:
+            return norm2(theta(cand)) <= bound
 
-            def accepts(cand: np.ndarray) -> bool:
-                return norm2(theta(cand)) <= bound
+        target = 0.5 * bound
+        return _solve_to_criterion(space, rhs, x, target, accepts, max_inner, "inexact-drs")
 
-            target = 0.5 * bound
-            return _solve_to_criterion(space, rhs, x, target, accepts, max_inner, "drs_inexact")
-
-        return step
-
-    return _drive(p, cfg, x0, make_step, callback)
+    return step
 
 
-def newton_exact(
-    p: AveProblem,
-    cfg: SolverConfig = SolverConfig(),
-    x0: np.ndarray | None = None,
-    callback: Callback | None = None,
-) -> SolveReport:
+def _newton_exact(p: AveProblem, cfg: SolverConfig):
     """Generalized Newton iteration ``[A - diag(sign(x^k))] x^{k+1} = b``.
 
     Banded sparse ``A`` is refactored in band storage, O(n bandwidth) per
@@ -571,26 +536,22 @@ def newton_exact(
     the run as ``STAGNATED``: the next step would solve the same system
     and return it bit for bit.
     """
+    A = lu_operand(p.A)
+    prev = None
 
-    def make_step():
-        A = lu_operand(p.A)
-        prev = None
+    def step(x, k, e, en):
+        nonlocal prev
+        s = sign_diag(x)
+        if prev is not None and np.array_equal(s, prev):
+            raise _Stagnation
+        prev = s
+        return lu_solve(lu_factor(A, shift=s), p.b), 0
 
-        def step(x, k, e, en):
-            nonlocal prev
-            s = sign_diag(x)
-            if prev is not None and np.array_equal(s, prev):
-                raise _Stagnation
-            prev = s
-            return lu_solve(lu_factor(A, shift=s), p.b), 0
-
-        return step
-
-    return _drive(p, cfg, x0, make_step, callback)
+    return step
 
 
 def resolve_newton_theta(p: AveProblem, cfg: SolverConfig) -> float:
-    """Inexactness bound ``theta`` for ``newton_inexact``.
+    """Inexactness bound ``theta`` for ``inexact-newton``.
 
     A fixed ``cfg.theta`` is returned as-is.  Otherwise the bound
     ``0.9999 (1 - 3 ||A^{-1}||) / (||A^{-1}|| (||A|| + 3))`` is evaluated
@@ -603,25 +564,20 @@ def resolve_newton_theta(p: AveProblem, cfg: SolverConfig) -> float:
     inv_norm = np.inf if sigma_min == 0.0 else 1.0 / sigma_min
     if inv_norm >= 1.0 / 3.0:
         raise ThetaUndefinedError(
-            f"newton_inexact: derived theta needs ||A^-1|| < 1/3, "
+            f"inexact-newton: derived theta needs ||A^-1|| < 1/3, "
             f"estimated ||A^-1|| = {inv_norm:.4f}"
         )
     return 0.9999 * (1.0 - 3.0 * inv_norm) / (inv_norm * (norm_A + 3.0))
 
 
-def newton_inexact(
-    p: AveProblem,
-    cfg: SolverConfig = SolverConfig(),
-    x0: np.ndarray | None = None,
-    callback: Callback | None = None,
-) -> SolveReport:
+def _newton_inexact(p: AveProblem, cfg: SolverConfig):
     """Generalized Newton iteration with LSQR linear solves.
 
     Each step accepts ``x^{k+1}`` once
     ``||[A - diag(sign(x^k))] x^{k+1} - b|| <= theta ||e(x^k)||``.
-    ``theta = 0`` leaves no inexactness budget and delegates to
-    :func:`newton_exact`.  Steps whose bound falls below the roundoff
-    scale of the linear system are solved to roundoff and accepted.
+    ``theta = 0`` leaves no inexactness budget; that run is the exact
+    method.  Steps whose bound falls below the roundoff scale of the
+    linear system are solved to roundoff and accepted.
 
     Consecutive steps with the same sign pattern solve the same system, and
     ``x^k`` is the iterate the previous step's LSQR run stopped on, so such
@@ -633,101 +589,73 @@ def newton_inexact(
     """
     theta = resolve_newton_theta(p, cfg)
     if theta == 0.0:
-        return newton_exact(p, cfg, x0, callback)
+        return _newton_exact(p, cfg)
+    max_inner = cfg.inner_max_iter if cfg.inner_max_iter is not None else 10 * p.n
+    AT = transposed(p.A)
+    run, prev = None, None
 
-    def make_step():
-        max_inner = cfg.inner_max_iter if cfg.inner_max_iter is not None else 10 * p.n
-        AT = transposed(p.A)
-        run, prev = None, None
+    def step(x, k, e, en):
+        nonlocal run, prev
+        s = sign_diag(x)
+        if prev is None or not np.array_equal(s, prev):
+            run = ContinuedRun(MatOperator(
+                p.A.shape,
+                lambda v: p.A @ v - s * v,
+                lambda v: AT @ v - s * v,
+            ))
+            prev = s
+        elif run.exhausted:
+            raise _Stagnation
+        bound = theta * en
 
-        def step(x, k, e, en):
-            nonlocal run, prev
-            s = sign_diag(x)
-            if prev is None or not np.array_equal(s, prev):
-                run = ContinuedRun(MatOperator(
-                    p.A.shape,
-                    lambda v: p.A @ v - s * v,
-                    lambda v: AT @ v - s * v,
-                ))
-                prev = s
-            elif run.exhausted:
-                raise _Stagnation
-            bound = theta * en
+        def accepts(cand: np.ndarray) -> bool:
+            return norm2(p.A @ cand - s * cand - p.b) <= bound
 
-            def accepts(cand: np.ndarray) -> bool:
-                return norm2(p.A @ cand - s * cand - p.b) <= bound
+        return _solve_to_criterion(run, p.b, x, bound, accepts, max_inner, "inexact-newton")
 
-            return _solve_to_criterion(run, p.b, x, bound, accepts, max_inner, "newton_inexact")
-
-        return step
-
-    return _drive(p, cfg, x0, make_step, callback)
+    return step
 
 
-def sor_like(
-    p: AveProblem,
-    cfg: SolverConfig = SolverConfig(),
-    x0: np.ndarray | None = None,
-    y0: np.ndarray | None = None,
-    callback: Callback | None = None,
-) -> SolveReport:
-    """Two-sequence relaxation iteration; ``y0`` defaults to ``x0``."""
-    y_init = x0 if y0 is None else y0
+def _sor_like(p: AveProblem, cfg: SolverConfig):
+    """Two-sequence relaxation iteration from ``y^0 = x^0``."""
+    factors = lu_factor(p.A)
+    omega = cfg.omega
+    y = None
 
-    def make_step():
-        factors = lu_factor(p.A)
-        y = _start_vector(y_init, p.n, "y0")
-        omega = cfg.omega
+    def step(x, k, e, en):
+        nonlocal y
+        if k == 0:
+            y = x
+        x_next = (1.0 - omega) * x + omega * lu_solve(factors, y + p.b)
+        y = (1.0 - omega) * y + omega * np.abs(x_next)
+        return x_next, 0
 
-        def step(x, k, e, en):
-            x_next = (1.0 - omega) * x + omega * lu_solve(factors, y + p.b)
-            y[:] = (1.0 - omega) * y + omega * np.abs(x_next)
-            return x_next, 0
-
-        return step
-
-    return _drive(p, cfg, x0, make_step, callback)
+    return step
 
 
-def fixed_point(
-    p: AveProblem,
-    cfg: SolverConfig = SolverConfig(),
-    x0: np.ndarray | None = None,
-    callback: Callback | None = None,
-) -> SolveReport:
+def _fixed_point(p: AveProblem, cfg: SolverConfig):
     """Inverse-free contraction iteration ``x - nu e(x)``."""
 
-    def make_step():
-        def step(x, k, e, en):
-            return x - cfg.nu * e, 0
+    def step(x, k, e, en):
+        return x - cfg.nu * e, 0
 
-        return step
-
-    return _drive(p, cfg, x0, make_step, callback)
+    return step
 
 
-def fixed_point_inverse(
-    p: AveProblem,
-    cfg: SolverConfig = SolverConfig(),
-    x0: np.ndarray | None = None,
-    callback: Callback | None = None,
-) -> SolveReport:
-    """Contraction iteration ``x - nu A^{-1} e(x)`` with one amortized LU.
-
-    This is the :func:`drs_exact` update with ``gamma = 2 nu`` and the
-    identity metric, and runs as that.
-    """
-    return drs_exact(p, replace(cfg, gamma=2.0 * cfg.nu, G=GMatrix.identity()), x0, callback)
+def _fixed_point_inverse(p: AveProblem, cfg: SolverConfig):
+    """Contraction iteration ``x - nu A^{-1} e(x)``: the exact splitting
+    update with ``gamma = 2 nu`` and the identity metric."""
+    return _drs_exact(p, replace(cfg, gamma=2.0 * cfg.nu, G=GMatrix.identity()))
 
 
 _DISPATCH = {
-    Method.DRS: drs_exact,
-    Method.DRS_INEXACT: drs_inexact,
-    Method.NEWTON: newton_exact,
-    Method.NEWTON_INEXACT: newton_inexact,
-    Method.SOR_LIKE: sor_like,
-    Method.FIXED_POINT: fixed_point,
-    Method.FIXED_POINT_INVERSE: fixed_point_inverse,
+    Method.DRS: _drs_exact,
+    Method.DRS_INEXACT: _drs_inexact,
+    Method.NEWTON: _newton_exact,
+    Method.NEWTON_INEXACT: _newton_inexact,
+    Method.SOR_LIKE: _sor_like,
+    Method.FIXED_POINT: _fixed_point,
+    Method.FIXED_POINT_INVERSE: _fixed_point_inverse,
 }
 
 
@@ -739,7 +667,8 @@ def run_solver(
     seed: int | None = None,
     callback: Callback | None = None,
 ) -> SolveReport:
-    """Dispatch a solve by method name.
+    """Solve ``p`` by the method of that name; the one entry point to
+    the methods.
 
     Exactly one of ``x0`` and ``seed`` must be given; a seed draws the
     standard random start (entries uniform on (-100, 100)).  Two calls with
@@ -756,7 +685,7 @@ def run_solver(
         from .generators import gen_x0
 
         x0 = gen_x0(p.n, seed)
-    return _DISPATCH[method](p, cfg, x0=x0, callback=callback)
+    return _drive(p, cfg, x0, _DISPATCH[method], callback)
 
 
 def write_report_trace(report: SolveReport, path) -> None:

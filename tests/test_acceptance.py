@@ -39,17 +39,13 @@ from avesolve.solvers import (
     SolveStatus,
     SolverConfig,
     _heuristic_alpha,
-    drs_exact,
-    drs_inexact,
-    newton_exact,
-    newton_inexact,
-    sor_like,
+    run_solver,
 )
 
 
-def collect(solver, p, cfg, x0):
+def collect(method, p, cfg, x0):
     xs = []
-    rep = solver(p, cfg, x0=x0, callback=lambda k, x: xs.append(x.copy()))
+    rep = run_solver(method, p, cfg, x0=x0, callback=lambda k, x: xs.append(x.copy()))
     return rep, xs
 
 
@@ -74,8 +70,8 @@ def crit1_runs():
     for n in (1000, 4000):
         p = gen_tridiag8(n)
         x0 = gen_x0(n, seed=0)
-        drs_rep, drs_xs = collect(drs_exact, p, SolverConfig(gamma=1.98), x0)
-        sor_rep, _ = collect(sor_like, p, SolverConfig(omega=1.0), x0)
+        drs_rep, drs_xs = collect("drs", p, SolverConfig(gamma=1.98), x0)
+        sor_rep, _ = collect("sor-like", p, SolverConfig(omega=1.0), x0)
         runs[n] = (p, drs_rep, drs_xs, sor_rep)
     return runs
 
@@ -95,8 +91,8 @@ def crit2_runs():
         spec = GeneratorSpec(family="random", n=200, sigma_min_target=1.05, seed=i)
         p = gen_random_sparse(spec)
         x0 = gen_x0(200, seed=1000 + i)
-        drs_rep, drs_xs = collect(drs_exact, p, SolverConfig(), x0)
-        in_rep, in_xs = collect(drs_inexact, p, SolverConfig(), x0)
+        drs_rep, drs_xs = collect("drs", p, SolverConfig(), x0)
+        in_rep, in_xs = collect("inexact-drs", p, SolverConfig(), x0)
         runs.append((p, drs_rep, drs_xs, in_rep, in_xs))
     elapsed = time.perf_counter() - t0
     return runs, elapsed
@@ -165,7 +161,7 @@ def test_criterion_4_divergence_detection():
     t0 = time.perf_counter()
     seen = []
     cfg = SolverConfig(gamma=1.0, divergence_threshold=50.0, max_iter=10_000)
-    rep = drs_exact(p, cfg, x0=np.zeros(1), callback=lambda k, x: seen.append(x[0]))
+    rep = run_solver("drs", p, cfg, x0=np.zeros(1), callback=lambda k, x: seen.append(x[0]))
     elapsed = time.perf_counter() - t0
     assert rep.status is SolveStatus.DIVERGED
     assert len(seen) == 101
@@ -194,13 +190,13 @@ def test_criterion_5_newton_family():
         p = gen_random_sparse(spec)
         x0 = gen_x0(200, seed=2000 + (seed - 100))
         cfg = SolverConfig(max_iter=50)
-        rep_ex, xs_ex = collect(newton_exact, p, cfg, x0)
-        rep_auto, _ = collect(newton_inexact, p, cfg, x0)
+        rep_ex, xs_ex = collect("newton", p, cfg, x0)
+        rep_auto, _ = collect("inexact-newton", p, cfg, x0)
         assert rep_ex.status is SolveStatus.CONVERGED
         assert rep_ex.final_residual_norm <= 1e-8
         assert rep_auto.status is SolveStatus.CONVERGED
         assert rep_auto.final_residual_norm <= 1e-8
-        rep_zero, xs_zero = collect(newton_inexact, p, SolverConfig(theta=0.0, max_iter=50), x0)
+        rep_zero, xs_zero = collect("inexact-newton", p, SolverConfig(theta=0.0, max_iter=50), x0)
         assert rep_zero.iterations == rep_ex.iterations
         for a, b in zip(xs_zero, xs_ex):
             assert norm2(a - b) <= 1e-8
@@ -214,8 +210,6 @@ def test_criterion_5_newton_family():
 
 
 def test_criterion_6_equivalence_identities():
-    from avesolve.solvers import fixed_point_inverse
-
     cfg_fp = SolverConfig(nu=0.5, epsilon=1e-30, max_iter=30)
     cfg_dr = SolverConfig(gamma=1.0, G=GMatrix.identity(), epsilon=1e-30, max_iter=30)
     worst_pair = 0.0
@@ -224,8 +218,8 @@ def test_criterion_6_equivalence_identities():
             GeneratorSpec(family="random", n=80, sigma_min_target=1.2, seed=300 + i)
         )
         x0 = gen_x0(80, seed=3000 + i)
-        _, xs_fp = collect(fixed_point_inverse, p, cfg_fp, x0)
-        _, xs_dr = collect(drs_exact, p, cfg_dr, x0)
+        _, xs_fp = collect("fixed-point-inverse", p, cfg_fp, x0)
+        _, xs_dr = collect("drs", p, cfg_dr, x0)
         assert len(xs_fp) == len(xs_dr) == 31
         for a, b in zip(xs_fp, xs_dr):
             gap = norm2(a - b)

@@ -192,9 +192,17 @@ class TestCurves:
         lin = default_tau_grid(20.0)
         assert lin[0] == 1.0 and lin[-1] == 20.0
         assert np.all(np.diff(lin) > 0)
-        log = default_tau_grid(20.0, log=True, num=50)
+        log = default_tau_grid(20.0, log=True)
         assert log[0] == pytest.approx(1.0) and log[-1] == pytest.approx(20.0)
         assert np.all(np.diff(log) > 0)
+
+    def test_linear_grid_is_bounded(self):
+        # 10 001 points reach r_max 1001; beyond that only the log grid
+        # keeps the curves' cost from growing with the ceiling.
+        assert default_tau_grid(1001.0)[-1] == 1001.0
+        with pytest.raises(ValueError, match="--log-tau"):
+            default_tau_grid(1001.1)
+        assert default_tau_grid(1e6, log=True).size == 191
 
 
 class TestSummary:

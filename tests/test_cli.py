@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from avesolve import bench as bench_mod
 from avesolve.bench import BENCH_MAX_ITER, write_bench_manifest
 from avesolve.cli import _config_from_args, build_parser, main
 from avesolve.core import AveProblem
@@ -302,6 +303,21 @@ class TestBenchAndProfile:
         err = capsys.readouterr().err
         assert code == 1
         assert err == f"error: --r-max: r_max must be finite and exceed 1, got {float(r_max)}\n"
+        assert not out.exists()
+
+    def test_oversized_linear_grid_fails_before_the_grid_runs(self, bundles, tmp_path, capsys,
+                                                              monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_bench called")
+
+        monkeypatch.setattr(bench_mod, "run_bench", never)
+        out = tmp_path / "z"
+        code = main(
+            ["profile", "--problems", *map(str, bundles), "--solvers", "drs",
+             "--r-max", "1e6", "--out", str(out)]
+        )
+        assert code == 1
+        assert "--log-tau" in capsys.readouterr().err
         assert not out.exists()
 
     def test_duplicate_bundle_ids(self, bundles, tmp_path, capsys):

@@ -35,15 +35,8 @@ from avesolve.solvers import (
     SolverConfig,
     ThetaUndefinedError,
     _heuristic_alpha,
-    drs_exact,
-    drs_inexact,
-    fixed_point,
-    fixed_point_inverse,
-    newton_exact,
-    newton_inexact,
     resolve_newton_theta,
     run_solver,
-    sor_like,
     write_report_trace,
 )
 
@@ -120,7 +113,7 @@ class TestDrsExact:
         """One step agrees with an independently evaluated update formula."""
         p = small_random_problem(1, n=20)
         x0 = gen_x0(20, seed=5)
-        rep = drs_exact(p, SolverConfig(gamma=1.6, max_iter=1), x0=x0)
+        rep = run_solver("drs", p, SolverConfig(gamma=1.6, max_iter=1), x0=x0)
         A = p.A.toarray()
         e0 = A @ x0 - np.abs(x0) - p.b
         expected = x0 - 0.5 * 1.6 * np.linalg.solve(A, e0)
@@ -139,27 +132,27 @@ class TestDrsExact:
 
     def test_start_at_solution_zero_iterations(self):
         p = gen_tridiag8(30)
-        rep = drs_exact(p, x0=p.known_solution)
+        rep = run_solver("drs", p, x0=p.known_solution)
         assert rep.status is SolveStatus.CONVERGED
         assert rep.iterations == 0
 
     def test_callback_sees_every_iterate(self):
         p = gen_tridiag8(16)
         seen = []
-        rep = drs_exact(p, x0=np.zeros(16), callback=lambda k, x: seen.append((k, x.copy())))
+        rep = run_solver("drs", p, x0=np.zeros(16), callback=lambda k, x: seen.append((k, x.copy())))
         assert [k for k, _ in seen] == list(range(rep.iterations + 1))
         npt.assert_array_equal(seen[0][1], np.zeros(16))
 
     def test_singular_matrix_status(self):
         p = AveProblem(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
-        rep = drs_exact(p, x0=np.ones(2))
+        rep = run_solver("drs", p, x0=np.ones(2))
         assert rep.status is SolveStatus.SINGULAR_SYSTEM
         assert rep.iterations == 0
 
     def test_weighted_metric_converges(self):
         p = small_random_problem(3, n=25)
         G = GMatrix.diagonal(np.linspace(0.5, 2.0, 25))
-        rep = drs_exact(p, SolverConfig(gamma=1.5, G=G), x0=gen_x0(25, seed=9))
+        rep = run_solver("drs", p, SolverConfig(gamma=1.5, G=G), x0=gen_x0(25, seed=9))
         assert rep.status is SolveStatus.CONVERGED
 
     def test_fejer_monotonicity_in_weighted_norm(self):
@@ -168,8 +161,8 @@ class TestDrsExact:
         gamma = 1.8
         G = GMatrix.identity()
         xs = []
-        drs_exact(p, SolverConfig(gamma=gamma, G=G), x0=gen_x0(30, seed=4),
-                  callback=lambda k, x: xs.append(x.copy()))
+        run_solver("drs", p, SolverConfig(gamma=gamma, G=G), x0=gen_x0(30, seed=4),
+                   callback=lambda k, x: xs.append(x.copy()))
         xstar = p.known_solution
         A = p.A.toarray()
         lead = gamma * (2.0 - gamma) / 4.0
@@ -187,7 +180,7 @@ class TestDivergenceDetection:
         p = gen_no_solution_1d()
         seen = []
         cfg = SolverConfig(gamma=1.0, divergence_threshold=50.0, max_iter=10_000)
-        rep = drs_exact(p, cfg, x0=np.zeros(1), callback=lambda k, x: seen.append(x[0]))
+        rep = run_solver("drs", p, cfg, x0=np.zeros(1), callback=lambda k, x: seen.append(x[0]))
         assert rep.status is SolveStatus.DIVERGED
         for k, v in enumerate(seen):
             assert v == k / 2.0
@@ -196,7 +189,7 @@ class TestDivergenceDetection:
 
     def test_max_iter_status(self):
         p = gen_no_solution_1d()
-        rep = drs_exact(p, SolverConfig(gamma=1.0, max_iter=7), x0=np.zeros(1))
+        rep = run_solver("drs", p, SolverConfig(gamma=1.0, max_iter=7), x0=np.zeros(1))
         assert rep.status is SolveStatus.MAX_ITER_REACHED
         assert rep.iterations == 7
 
@@ -224,8 +217,8 @@ class TestDrsInexact:
         p = small_random_problem(6, n=30)
         cfg = SolverConfig(gamma=1.9)
         xs = []
-        rep = drs_inexact(p, cfg, x0=gen_x0(30, seed=7),
-                          callback=lambda k, x: xs.append(x.copy()))
+        rep = run_solver("inexact-drs", p, cfg, x0=gen_x0(30, seed=7),
+                         callback=lambda k, x: xs.append(x.copy()))
         assert rep.status is SolveStatus.CONVERGED
         for k in range(len(xs) - 1):
             e = residual(p, xs[k])
@@ -236,7 +229,7 @@ class TestDrsInexact:
     def test_theoretical_mode_with_finite_mu_converges(self):
         p = small_random_problem(7, n=25)
         cfg = SolverConfig(alpha_mode="theoretical", mu=1.0, gamma=1.5)
-        rep = drs_inexact(p, cfg, x0=gen_x0(25, seed=8))
+        rep = run_solver("inexact-drs", p, cfg, x0=gen_x0(25, seed=8))
         assert rep.status is SolveStatus.CONVERGED
 
     def test_theoretical_mode_unbounded_mu_matches_exact(self):
@@ -244,8 +237,8 @@ class TestDrsInexact:
         p = small_random_problem(8, n=20)
         x0 = gen_x0(20, seed=9)
         cfg = SolverConfig(alpha_mode="theoretical", mu=np.inf, gamma=1.7)
-        rep_in = drs_inexact(p, cfg, x0=x0)
-        rep_ex = drs_exact(p, SolverConfig(gamma=1.7), x0=x0)
+        rep_in = run_solver("inexact-drs", p, cfg, x0=x0)
+        rep_ex = run_solver("drs", p, SolverConfig(gamma=1.7), x0=x0)
         assert rep_in.status is SolveStatus.CONVERGED
         npt.assert_array_equal(
             np.array(rep_in.residual_history), np.array(rep_ex.residual_history)
@@ -255,14 +248,14 @@ class TestDrsInexact:
         p = small_random_problem(8, n=10)
         cfg = SolverConfig(alpha_mode="theoretical")
         with pytest.raises(ValueError, match="mu"):
-            drs_inexact(p, cfg, x0=np.zeros(10))
+            run_solver("inexact-drs", p, cfg, x0=np.zeros(10))
 
     def test_inner_solver_stall_raises(self):
         # One inner iteration per attempt cannot hit a near-exact tolerance.
         p = small_random_problem(9, n=5)
         cfg = SolverConfig(alpha_mode="theoretical", mu=1e12, inner_max_iter=1)
         with pytest.raises(InnerSolverStallError):
-            drs_inexact(p, cfg, x0=gen_x0(5, seed=10))
+            run_solver("inexact-drs", p, cfg, x0=gen_x0(5, seed=10))
 
     def test_roundoff_floor_accepts_machine_exact_candidate(self):
         # A target far below the roundoff scale of the system and a check
@@ -283,7 +276,7 @@ class TestDrsInexact:
         p = gen_random_sparse(
             GeneratorSpec(family="random", n=200, sigma_min_target=1.05, seed=3)
         )
-        rep = drs_inexact(p, SolverConfig(), x0=gen_x0(200, seed=1003))
+        rep = run_solver("inexact-drs", p, SolverConfig(), x0=gen_x0(200, seed=1003))
         assert rep.status is SolveStatus.CONVERGED
         assert rep.final_residual_norm <= 1e-8
 
@@ -360,11 +353,11 @@ class TestDeflation:
             GeneratorSpec(family="random", n=200, sigma_min_target=1.05, seed=0)
         )
         x0 = gen_x0(200, seed=1000)
-        recycled = drs_inexact(p, SolverConfig(), x0=x0)
+        recycled = run_solver("inexact-drs", p, SolverConfig(), x0=x0)
         # Without a harvest the space stays empty, and every inner solve is
         # plain warm-started LSQR.
         monkeypatch.setattr(Deflation, "_harvest", lambda self, res: None)
-        plain = drs_inexact(p, SolverConfig(), x0=x0)
+        plain = run_solver("inexact-drs", p, SolverConfig(), x0=x0)
         assert recycled.status is plain.status is SolveStatus.CONVERGED
         assert recycled.iterations <= plain.iterations
         assert 2 * recycled.inner_iteration_total <= plain.inner_iteration_total
@@ -375,29 +368,29 @@ class TestDeflation:
 # SHA-256 of the final iterate's bytes).  Recorded from the LSQR that
 # recomputed the true residual on every inner iteration; pinned so that
 # skipping that recomputation while the recurrence estimate is far above
-# the target never moves an inner stop.  The drs_inexact rows were
+# the target never moves an inner stop.  The inexact-drs rows were
 # re-recorded when its inner solves began to recycle a deflation space
 # (23 -> 23 outer steps and 823 -> 402 inner iterations; 25 -> 24 and
 # 950 -> 407; final iterates moved by at most 2e-11 and 5e-10).  The
-# newton_inexact row was re-recorded when steps with an unchanged sign
+# inexact-newton row was re-recorded when steps with an unchanged sign
 # pattern began to resume the previous step's LSQR run (5 -> 5 outer steps
 # and 351 -> 208 inner iterations; the final iterate moved by at most
 # 1.7e-11).
 PINNED_INEXACT_RUNS = [
     (
-        drs_inexact, 3.5, 0.05, 23,
+        "inexact-drs", 3.5, 0.05, 23,
         [0, 1, 2, 3, 6, 11, 14, 19, 29, 46, 7, 8, 9, 15, 19, 22, 23, 26, 25, 27,
          20, 24, 21, 25],
         "8a243d7ce41a96a250dd72788595ef206b6208ce6974466eea8c06863db8cf4c",
     ),
     (
-        drs_inexact, 1.0, 0.0, 24,
+        "inexact-drs", 1.0, 0.0, 24,
         [0, 1, 2, 3, 6, 11, 14, 19, 27, 45, 5, 9, 11, 16, 19, 21, 22, 17, 22,
          19, 25, 20, 26, 24, 23],
         "d32431da98a7607dc809914c763fb445ac16737212868d7d4e4bbc1a9c0d20ba",
     ),
     (
-        newton_inexact, 3.5, 0.05, 5,
+        "inexact-newton", 3.5, 0.05, 5,
         [0, 50, 75, 76, 4, 3],
         "2ca656d5d4a2bb2f39b9fcc549435d0f2d598a88309d668ee510664c092ab53f",
     ),
@@ -405,16 +398,17 @@ PINNED_INEXACT_RUNS = [
 
 
 @pytest.mark.parametrize(
-    "solver, sigma, margin, iterations, inner_history, x_digest",
+    "method, sigma, margin, iterations, inner_history, x_digest",
     PINNED_INEXACT_RUNS,
     ids=["drs-sigma3.5", "drs-sigma1-margin0", "newton-sigma3.5"],
 )
-def test_inexact_iterates_pinned(solver, sigma, margin, iterations, inner_history, x_digest):
+def test_inexact_iterates_pinned(method, sigma, margin, iterations, inner_history, x_digest):
     p = gen_random_sparse(
         GeneratorSpec(family="random", n=60, sigma_min_target=sigma, margin=margin, seed=0)
     )
     xs = []
-    rep = solver(p, SolverConfig(), x0=gen_x0(60, 1), callback=lambda k, x: xs.append(x.copy()))
+    rep = run_solver(method, p, SolverConfig(), x0=gen_x0(60, 1),
+                     callback=lambda k, x: xs.append(x.copy()))
     assert rep.status is SolveStatus.CONVERGED
     assert rep.iterations == iterations
     assert rep.inner_iteration_history == inner_history
@@ -423,30 +417,31 @@ def test_inexact_iterates_pinned(solver, sigma, margin, iterations, inner_histor
 
 # Seeded n=60 solves on gen_random_sparse (sigma_min target 3.5, margin
 # 0.05, seed 0) from x0 = gen_x0(60, 1) with the default config:
-# (solver, iterations, SHA-256 of the final iterate's bytes).  At 10 % fill
+# (method, iterations, SHA-256 of the final iterate's bytes).  At 10 % fill
 # the LU stays in dense storage; recorded before banded sparse matrices got
 # their own storage, so that choice may not move a dense factorization.
-# fixed_point_inverse was recorded while it had a step function of its own,
-# before it ran as drs_exact with gamma = 2 nu.
+# fixed-point-inverse was recorded while it had a step function of its own,
+# before it ran as drs with gamma = 2 nu.
 PINNED_DENSE_LU_RUNS = [
-    (drs_exact, 9, "30f844bf686f9e265c39dfc7026bcd263a2961b02fe92bbd64614b924a742d42"),
-    (sor_like, 15, "64f3755b5216ce8b1e82ee4da42ca0e57035c10f2de56a4c29752157ec19e6e1"),
-    (newton_exact, 3, "430c251bcc9fba432f8544465de142e8850051628ad7381f2ca298afda98f166"),
-    (fixed_point_inverse, 44, "d8d134eb89f60968d96c8cec4e59537b540897e18aecce58b8099e16d50448f9"),
+    ("drs", 9, "30f844bf686f9e265c39dfc7026bcd263a2961b02fe92bbd64614b924a742d42"),
+    ("sor-like", 15, "64f3755b5216ce8b1e82ee4da42ca0e57035c10f2de56a4c29752157ec19e6e1"),
+    ("newton", 3, "430c251bcc9fba432f8544465de142e8850051628ad7381f2ca298afda98f166"),
+    ("fixed-point-inverse", 44, "d8d134eb89f60968d96c8cec4e59537b540897e18aecce58b8099e16d50448f9"),
 ]
 
 
 @pytest.mark.parametrize(
-    "solver, iterations, x_digest",
+    "method, iterations, x_digest",
     PINNED_DENSE_LU_RUNS,
     ids=["drs", "sor-like", "newton", "fixed-point-inverse"],
 )
-def test_dense_lu_iterates_pinned(solver, iterations, x_digest):
+def test_dense_lu_iterates_pinned(method, iterations, x_digest):
     p = gen_random_sparse(
         GeneratorSpec(family="random", n=60, sigma_min_target=3.5, margin=0.05, seed=0)
     )
     xs = []
-    rep = solver(p, SolverConfig(), x0=gen_x0(60, 1), callback=lambda k, x: xs.append(x.copy()))
+    rep = run_solver(method, p, SolverConfig(), x0=gen_x0(60, 1),
+                     callback=lambda k, x: xs.append(x.copy()))
     assert rep.status is SolveStatus.CONVERGED
     assert rep.iterations == iterations
     assert hashlib.sha256(xs[-1].tobytes()).hexdigest() == x_digest
@@ -471,7 +466,7 @@ class TestNewton:
         # A = [2], b = [1], x0 = -1: the generalized step gives 1/3, then 1.
         p = AveProblem(np.array([[2.0]]), np.array([1.0]))
         seen = []
-        rep = newton_exact(p, x0=np.array([-1.0]), callback=lambda k, x: seen.append(x[0]))
+        rep = run_solver("newton", p, x0=np.array([-1.0]), callback=lambda k, x: seen.append(x[0]))
         assert rep.status is SolveStatus.CONVERGED
         assert rep.iterations == 2
         npt.assert_allclose(seen, [-1.0, 1.0 / 3.0, 1.0], rtol=1e-15)
@@ -486,21 +481,21 @@ class TestNewton:
     def test_singular_generalized_jacobian(self):
         # A - diag(sign(x0)) is singular for positive starts.
         p = AveProblem(np.diag([2.0, 1.0]), np.ones(2))
-        rep = newton_exact(p, x0=np.array([1.0, 1.0]))
+        rep = run_solver("newton", p, x0=np.array([1.0, 1.0]))
         assert rep.status is SolveStatus.SINGULAR_SYSTEM
 
     def test_inexact_zero_theta_delegates_to_exact(self):
         p = small_random_problem(11, n=30, target=3.2)
         x0 = gen_x0(30, seed=12)
-        rep_in = newton_inexact(p, SolverConfig(theta=0.0), x0=x0)
-        rep_ex = newton_exact(p, SolverConfig(), x0=x0)
+        rep_in = run_solver("inexact-newton", p, SolverConfig(theta=0.0), x0=x0)
+        rep_ex = run_solver("newton", p, SolverConfig(), x0=x0)
         npt.assert_array_equal(
             np.array(rep_in.residual_history), np.array(rep_ex.residual_history)
         )
 
     def test_inexact_auto_theta_converges(self):
         p = small_random_problem(12, n=40, target=3.2)
-        rep = newton_inexact(p, SolverConfig(max_iter=50), x0=gen_x0(40, seed=13))
+        rep = run_solver("inexact-newton", p, SolverConfig(max_iter=50), x0=gen_x0(40, seed=13))
         assert rep.status is SolveStatus.CONVERGED
         assert rep.inner_iteration_total > 0
 
@@ -533,7 +528,7 @@ class TestNewton:
         with pytest.raises(ThetaUndefinedError):
             resolve_newton_theta(p, SolverConfig())
         with pytest.raises(ThetaUndefinedError):
-            newton_inexact(p, x0=np.zeros(2))
+            run_solver("inexact-newton", p, x0=np.zeros(2))
 
     def test_theta_undefined_on_singular(self):
         p = AveProblem(np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros(2))
@@ -547,7 +542,7 @@ class TestNewton:
             GeneratorSpec(family="random", n=200, sigma_min_target=3.5, seed=1)
         )
         xs = []
-        rep = newton_exact(p, SolverConfig(), x0=gen_x0(200, 0), callback=lambda k, x: xs.append(x))
+        rep = run_solver("newton", p, SolverConfig(), x0=gen_x0(200, 0), callback=lambda k, x: xs.append(x))
         assert rep.status is SolveStatus.STAGNATED
         assert rep.iterations <= 5
         assert rep.final_residual_norm > SolverConfig().epsilon
@@ -562,7 +557,7 @@ class TestNewton:
         p = gen_random_sparse(
             GeneratorSpec(family="random", n=40, sigma_min_target=3.5, margin=0.05, seed=0)
         )
-        rep = newton_inexact(p, SolverConfig(epsilon=1e-14), x0=gen_x0(40, 1))
+        rep = run_solver("inexact-newton", p, SolverConfig(epsilon=1e-14), x0=gen_x0(40, 1))
         assert rep.status is SolveStatus.STAGNATED
         assert rep.iterations <= 10
         assert rep.inner_iteration_total <= 10 * 40
@@ -572,8 +567,8 @@ class TestNewton:
             GeneratorSpec(family="random", n=60, sigma_min_target=3.5, margin=0.05, seed=0)
         )
         signs = []
-        rep = newton_inexact(p, SolverConfig(), x0=gen_x0(60, 1),
-                             callback=lambda k, x: signs.append(np.sign(x)))
+        rep = run_solver("inexact-newton", p, SolverConfig(), x0=gen_x0(60, 1),
+                         callback=lambda k, x: signs.append(np.sign(x)))
         assert rep.status is SolveStatus.CONVERGED
         # The step from x^k produces iterate k + 1.
         resumed = [k + 1 for k in range(1, rep.iterations)
@@ -585,9 +580,9 @@ class TestNewton:
         p = small_random_problem(14, n=25, target=3.4)
         theta = 0.05
         xs = []
-        rep = newton_inexact(p, SolverConfig(theta=theta, max_iter=50),
-                             x0=gen_x0(25, seed=14),
-                             callback=lambda k, x: xs.append(x.copy()))
+        rep = run_solver("inexact-newton", p, SolverConfig(theta=theta, max_iter=50),
+                         x0=gen_x0(25, seed=14),
+                         callback=lambda k, x: xs.append(x.copy()))
         assert rep.status is SolveStatus.CONVERGED
         A = p.A.toarray()
         for k in range(len(xs) - 1):
@@ -598,19 +593,19 @@ class TestNewton:
 
 
 @pytest.mark.parametrize(
-    "solver, cfg, estimates, bounds",
+    "method, cfg, estimates, bounds",
     [
-        (newton_inexact, SolverConfig(), 1, 0),
-        (newton_inexact, SolverConfig(theta=0.05), 0, 0),
-        (drs_inexact, SolverConfig(), 0, 0),
-        (drs_inexact, SolverConfig(alpha_mode="theoretical", mu=1.0), 0, 1),
-        (drs_inexact, SolverConfig(alpha_mode="theoretical", mu=1.0,
-                                   G=GMatrix.diagonal(np.linspace(1.0, 2.0, 40))), 0, 1),
+        ("inexact-newton", SolverConfig(), 1, 0),
+        ("inexact-newton", SolverConfig(theta=0.05), 0, 0),
+        ("inexact-drs", SolverConfig(), 0, 0),
+        ("inexact-drs", SolverConfig(alpha_mode="theoretical", mu=1.0), 0, 1),
+        ("inexact-drs", SolverConfig(alpha_mode="theoretical", mu=1.0,
+                                     G=GMatrix.diagonal(np.linspace(1.0, 2.0, 40))), 0, 1),
     ],
     ids=["newton-derived-theta", "newton-fixed-theta", "drs-heuristic",
          "drs-theoretical", "drs-theoretical-diagonal-metric"],
 )
-def test_norm_estimates_per_inexact_solve(monkeypatch, solver, cfg, estimates, bounds):
+def test_norm_estimates_per_inexact_solve(monkeypatch, method, cfg, estimates, bounds):
     """Only a derived theta estimates ||A||, once per solve; the theoretical
     alpha reads the upper bound on ||G A|| instead, also once per solve."""
     calls = {"estimate": 0, "bounds": 0}
@@ -626,7 +621,7 @@ def test_norm_estimates_per_inexact_solve(monkeypatch, solver, cfg, estimates, b
     monkeypatch.setattr(solvers, "singular_value_bounds",
                         counting("bounds", solvers.singular_value_bounds))
     p = small_random_problem(12, n=40, target=3.2)
-    solver(p, replace(cfg, max_iter=3), x0=gen_x0(40, seed=13))
+    run_solver(method, p, replace(cfg, max_iter=3), x0=gen_x0(40, seed=13))
     assert calls == {"estimate": estimates, "bounds": bounds}
 
 
@@ -635,8 +630,8 @@ class TestSorLike:
         # A = 2I, b = 0, omega = 1: x halves every second step via y = |x|.
         p = AveProblem(2.0 * np.eye(2), np.zeros(2))
         seen = []
-        sor_like(p, SolverConfig(omega=1.0), x0=np.array([2.0, -2.0]),
-                 callback=lambda k, x: seen.append(x.copy()))
+        run_solver("sor-like", p, SolverConfig(omega=1.0), x0=np.array([2.0, -2.0]),
+                   callback=lambda k, x: seen.append(x.copy()))
         npt.assert_array_equal(seen[1], [1.0, -1.0])
         npt.assert_array_equal(seen[2], [0.5, 0.5])
         npt.assert_array_equal(seen[3], [0.25, 0.25])
@@ -646,20 +641,10 @@ class TestSorLike:
         rep = run_solver("sor-like", p, SolverConfig(), seed=16)
         assert rep.status is SolveStatus.CONVERGED
 
-    def test_explicit_y0(self):
-        p = gen_tridiag8(12)
-        rep = sor_like(p, SolverConfig(omega=1.0), x0=np.zeros(12), y0=np.abs(p.known_solution))
-        assert rep.status is SolveStatus.CONVERGED
-
     def test_singular_status(self):
         p = AveProblem(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
-        rep = sor_like(p, x0=np.ones(2))
+        rep = run_solver("sor-like", p, x0=np.ones(2))
         assert rep.status is SolveStatus.SINGULAR_SYSTEM
-
-    def test_non_finite_y0_rejected(self):
-        p = gen_tridiag8(10)
-        with pytest.raises(ValueError, match="y0 has non-finite entries"):
-            sor_like(p, x0=np.zeros(10), y0=np.full(10, np.inf))
 
 
 class TestFixedPoint:
@@ -667,21 +652,21 @@ class TestFixedPoint:
         # x1 = x0 - nu e(x0) with e(x0) = (1, -3).
         p = AveProblem(2.0 * np.eye(2), np.zeros(2))
         seen = []
-        fixed_point(p, SolverConfig(nu=0.4), x0=np.array([1.0, -1.0]),
-                    callback=lambda k, x: seen.append(x.copy()))
+        run_solver("fixed-point", p, SolverConfig(nu=0.4), x0=np.array([1.0, -1.0]),
+                   callback=lambda k, x: seen.append(x.copy()))
         npt.assert_allclose(seen[1], [0.6, 0.2], rtol=1e-15)
 
     def test_forward_converges_in_contractive_regime(self):
         p = AveProblem(1.2 * np.eye(8), np.linspace(-1, 1, 8))
-        rep = fixed_point(p, SolverConfig(nu=0.4), x0=np.zeros(8))
+        rep = run_solver("fixed-point", p, SolverConfig(nu=0.4), x0=np.zeros(8))
         assert rep.status is SolveStatus.CONVERGED
 
     def test_inverse_variant_matches_halved_relaxation_drs(self):
         """Preconditioned variant with nu = gamma/2 replays the exact splitting."""
         p = small_random_problem(16, n=35)
         x0 = gen_x0(35, seed=17)
-        rep_fpi = fixed_point_inverse(p, SolverConfig(nu=0.5), x0=x0)
-        rep_drs = drs_exact(p, SolverConfig(gamma=1.0), x0=x0)
+        rep_fpi = run_solver("fixed-point-inverse", p, SolverConfig(nu=0.5), x0=x0)
+        rep_drs = run_solver("drs", p, SolverConfig(gamma=1.0), x0=x0)
         npt.assert_array_equal(
             np.array(rep_fpi.residual_history), np.array(rep_drs.residual_history)
         )
@@ -727,12 +712,13 @@ class TestRunSolver:
             run_solver(method, p, x0=x0)
 
     @pytest.mark.parametrize("size", [1, 3])
-    def test_metric_length_must_match(self, size):
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_metric_length_must_match(self, method, size):
         # Unchecked, one entry broadcasts as G = c I and three fail inside NumPy.
         p = gen_tridiag8(10)
         cfg = SolverConfig(G=GMatrix.diagonal(np.ones(size)))
         with pytest.raises(ValueError, match=f"G diagonal has length {size}, expected 10"):
-            drs_exact(p, cfg, x0=np.zeros(10))
+            run_solver(method, p, cfg, x0=np.zeros(10))
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_every_method_runs_on_well_posed_problem(self, method):
@@ -745,7 +731,7 @@ class TestRunSolver:
 
 def test_write_report_trace_roundtrip(tmp_path):
     p = gen_tridiag8(14)
-    rep = drs_exact(p, x0=np.zeros(14))
+    rep = run_solver("drs", p, x0=np.zeros(14))
     path = tmp_path / "trace.csv"
     write_report_trace(rep, path)
     with open(path) as f:
