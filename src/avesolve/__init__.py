@@ -50,9 +50,7 @@ from .bench import (
     IncompleteGridError,
     ProfileTable,
     efficiency_robustness,
-    emit_csv,
     performance_ratios,
-    profile_curve,
     profile_curves,
     run_bench,
 )

@@ -2,10 +2,11 @@
 
 ``run_bench`` times every (problem, solver) cell; ``performance_ratios``
 turns the records into a ratio table (each cell divided by the best value
-in its row), ``profile_curve`` into cumulative distribution curves: the
-fraction of problems a solver handled within a factor ``tau`` of the best.
-The value at ``tau = 1`` is the solver's efficiency (how often it wins),
-the plateau its robustness (how often it converges at all).
+in its row), ``profile_curves`` into one ``tau`` x solver array of
+cumulative distribution curves: the fraction of problems a solver handled
+within a factor ``tau`` of the best.  The value at ``tau = 1`` is the
+solver's efficiency (how often it wins), the plateau its robustness (how
+often it converges at all).
 
 Failures of any kind (non-convergence, divergence, singular systems,
 solver errors) never abort the grid; they are recorded and assigned the
@@ -43,11 +44,8 @@ __all__ = [
     "check_r_max",
     "performance_ratios",
     "default_tau_grid",
-    "profile_curve",
     "profile_curves",
     "efficiency_robustness",
-    "emit_csv",
-    "read_ratios_csv",
     "write_bench_manifest",
     "write_grid_outputs",
 ]
@@ -242,32 +240,21 @@ def default_tau_grid(r_max: float = R_MAX_DEFAULT, log: bool = False) -> np.ndar
     return np.round(1.0 + 0.1 * np.arange(steps + 1), 10)
 
 
-def profile_curve(
-    table: ProfileTable, solver_id: str, tau_grid: np.ndarray | None = None
-) -> list[tuple[float, float]]:
-    """Cumulative curve for one solver: fraction of problems with ratio
-    at most ``tau``, for each ``tau`` in the (ascending, from 1) grid."""
+def profile_curves(table: ProfileTable, tau_grid: np.ndarray | None = None) -> np.ndarray:
+    """Performance profiles of all solvers on one grid (ascending, from 1;
+    default :func:`default_tau_grid`): entry ``[i, j]`` is the fraction of
+    problems on which solver ``table.solver_ids[j]`` has ratio at most
+    ``tau_grid[i]``."""
     if tau_grid is None:
         tau_grid = default_tau_grid(table.r_max)
     tau_grid = np.asarray(tau_grid, dtype=np.float64)
     if tau_grid.size == 0 or tau_grid[0] < 1.0 or np.any(np.diff(tau_grid) < 0):
-        raise ValueError("profile_curve: tau grid must ascend and start at >= 1")
-    try:
-        j = table.solver_ids.index(solver_id)
-    except ValueError:
-        raise ValueError(f"profile_curve: unknown solver {solver_id!r}")
-    col = table.ratios[:, j]
-    P = col.shape[0]
-    return [(float(t), float(np.count_nonzero(col <= t)) / P) for t in tau_grid]
-
-
-def profile_curves(
-    table: ProfileTable, tau_grid: np.ndarray | None = None
-) -> dict[str, list[tuple[float, float]]]:
-    """Curves for all solvers on a shared grid."""
-    if tau_grid is None:
-        tau_grid = default_tau_grid(table.r_max)
-    return {sid: profile_curve(table, sid, tau_grid) for sid in table.solver_ids}
+        raise ValueError("profile_curves: tau grid must ascend and start at >= 1")
+    P = len(table.problem_ids)
+    curves = np.empty((tau_grid.size, len(table.solver_ids)))
+    for j, col in enumerate(np.sort(table.ratios.T, axis=1)):
+        curves[:, j] = np.searchsorted(col, tau_grid, side="right") / P
+    return curves
 
 
 def efficiency_robustness(table: ProfileTable) -> dict[str, tuple[float, float]]:
@@ -289,46 +276,6 @@ def _write_csv(path, header, rows) -> None:
     with open(path, "w") as f:
         for row in (header, *rows):
             f.write(",".join(v if isinstance(v, str) else "%.17g" % v for v in row) + "\n")
-
-
-def emit_csv(obj, path) -> None:
-    """Write a :class:`ProfileTable` (ratio matrix) or a curves mapping to
-    CSV with a stable column order.
-
-    Ratio table: header ``problem_id,<solver>...``, one row per problem.
-    Curves: header ``tau,<solver>...``, one row per grid point.
-    """
-    if isinstance(obj, ProfileTable):
-        rows = ((pid, *r) for pid, r in zip(obj.problem_ids, obj.ratios))
-        _write_csv(path, ("problem_id", *obj.solver_ids), rows)
-        return
-    if isinstance(obj, dict):
-        solver_ids = list(obj.keys())
-        if not solver_ids:
-            raise ValueError("emit_csv: empty curves mapping")
-        taus = [t for t, _ in obj[solver_ids[0]]]
-        for sid in solver_ids[1:]:
-            if [t for t, _ in obj[sid]] != taus:
-                raise ValueError("emit_csv: curves must share one tau grid")
-        values = ([v for _, v in obj[sid]] for sid in solver_ids)
-        _write_csv(path, ("tau", *solver_ids), zip(taus, *values))
-        return
-    raise TypeError(f"emit_csv: unsupported object type {type(obj)!r}")
-
-
-def read_ratios_csv(path) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """Parse a ratio CSV back into (problem_ids, solver_ids, matrix)."""
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    header = lines[0].split(",")
-    solver_ids = tuple(header[1:])
-    problem_ids = []
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        problem_ids.append(parts[0])
-        rows.append([float(v) for v in parts[1:]])
-    return tuple(problem_ids), solver_ids, np.array(rows, dtype=np.float64)
 
 
 def write_bench_manifest(
@@ -381,9 +328,11 @@ def write_grid_outputs(
         os.path.join(out_dir, "bench_manifest.json"),
         problems, solvers, cfg, repeats, measure, seed,
     )
-    emit_csv(table, os.path.join(out_dir, "ratios.csv"))
+    _write_csv(os.path.join(out_dir, "ratios.csv"), ("problem_id", *table.solver_ids),
+               ((pid, *row) for pid, row in zip(table.problem_ids, table.ratios)))
     if tau_grid is not None:
-        emit_csv(profile_curves(table, tau_grid), os.path.join(out_dir, "curves.csv"))
+        _write_csv(os.path.join(out_dir, "curves.csv"), ("tau", *table.solver_ids),
+                   zip(tau_grid, *profile_curves(table, tau_grid).T))
     summary = efficiency_robustness(table)
     _write_csv(
         os.path.join(out_dir, "summary.csv"),

@@ -85,22 +85,11 @@ class GMatrix:
         return self.diag is None
 
     @property
-    def lambda_min(self) -> float:
-        return 1.0 if self.diag is None else float(np.min(self.diag))
-
-    @property
     def lambda_max(self) -> float:
         return 1.0 if self.diag is None else float(np.max(self.diag))
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return v if self.diag is None else self.diag * v
-
     def apply_inv(self, v: np.ndarray) -> np.ndarray:
         return v if self.diag is None else v / self.diag
-
-    def norm_sq(self, v: np.ndarray) -> float:
-        """Quadratic form ``v^T G v``."""
-        return float(v @ v) if self.diag is None else float(v @ (self.diag * v))
 
 
 @dataclass
@@ -178,8 +167,8 @@ def residual_via_projection(p: AveProblem, x: np.ndarray) -> np.ndarray:
 def rho(G: GMatrix, e: np.ndarray) -> float:
     """Relaxation scalar ``||e||^2 / (e^T G^{-1} e)``.
 
-    Identically 1 for the identity metric; in general lies in
-    ``[lambda_min(G), lambda_max(G)]``.  Undefined at ``e = 0``.
+    Identically 1 for the identity metric; in general lies between the
+    smallest and the largest diagonal entry of ``G``.  Undefined at ``e = 0``.
     """
     if G.is_identity:
         if not np.any(e):

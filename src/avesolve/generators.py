@@ -172,8 +172,7 @@ def gen_x0(n: int, seed: int) -> np.ndarray:
     """Standard random start: entries uniform on the open (-100, 100)."""
     if n < 1:
         raise ValueError(f"gen_x0: n must be >= 1, got {n}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(3,))))
-    return -100.0 + 200.0 * _open_uniform(rng, n)
+    return -100.0 + 200.0 * _open_uniform(_stream(seed, 3), n)
 
 
 def generate(spec: GeneratorSpec) -> AveProblem:

@@ -33,7 +33,6 @@ matrix has smallest singular value ``0.0``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,15 +198,11 @@ def lu_factor(A, shift: np.ndarray | None = None) -> LuFactors:
     scale = float(np.max(np.abs(d))) if d.size else 0.0
     if scale == 0.0:
         raise SingularMatrixError("lu_factor: matrix is identically zero")
+    # info > 0 reports an exact zero pivot, which the check below catches.
     if band is None:
-        with warnings.catch_warnings():
-            # scipy warns instead of raising on exact zero pivots; the pivot
-            # check below owns that diagnosis.
-            warnings.simplefilter("ignore")
-            lu, piv = scipy.linalg.lu_factor(d, overwrite_a=True, check_finite=False)
+        lu, piv, _ = lapack.dgetrf(d, overwrite_a=True)
         pivots = np.abs(np.diag(lu))
     else:
-        # info > 0 reports an exact zero pivot, which the check below catches.
         lu, piv, _ = lapack.dgbtrf(d, kl, ku, overwrite_ab=True)
         pivots = np.abs(lu[kl + ku])
     bad = np.flatnonzero(pivots < PIVOT_RTOL * scale)
@@ -227,9 +222,8 @@ def lu_solve(factors: LuFactors, b: np.ndarray, transpose: bool = False) -> np.n
         )
     trans = 1 if transpose else 0
     if factors.band is None:
-        return scipy.linalg.lu_solve(
-            (factors.lu, factors.piv), b, trans=trans, check_finite=False
-        )
+        x, _ = lapack.dgetrs(factors.lu, factors.piv, b, trans=trans)
+        return x
     kl, ku = factors.band
     x, _ = lapack.dgbtrs(factors.lu, kl, ku, b, factors.piv, trans=trans)
     return x

@@ -423,6 +423,11 @@ class ContinuedRun:
         return res.solution, res
 
 
+def _inner_cap(p: AveProblem, cfg: SolverConfig) -> int:
+    """LSQR iterations per inner attempt: ``inner_max_iter``, by default 10 n."""
+    return cfg.inner_max_iter if cfg.inner_max_iter is not None else 10 * p.n
+
+
 def _solve_to_criterion(
     space: Deflation | ContinuedRun,
     rhs: np.ndarray,
@@ -493,7 +498,7 @@ def _drs_inexact(p: AveProblem, cfg: SolverConfig):
     if theoretical and cfg.mu == math.inf:
         return _drs_exact(p, cfg)
     space = Deflation(p.A)
-    max_inner = cfg.inner_max_iter if cfg.inner_max_iter is not None else 10 * p.n
+    max_inner = _inner_cap(p, cfg)
     if theoretical:
         # ||A^T G|| = ||G A||, which under the identity metric is ||A||.
         # The bound must not fall below it, or alpha exceeds the schedule.
@@ -590,7 +595,7 @@ def _newton_inexact(p: AveProblem, cfg: SolverConfig):
     theta = resolve_newton_theta(p, cfg)
     if theta == 0.0:
         return _newton_exact(p, cfg)
-    max_inner = cfg.inner_max_iter if cfg.inner_max_iter is not None else 10 * p.n
+    max_inner = _inner_cap(p, cfg)
     AT = transposed(p.A)
     run, prev = None, None
 

@@ -13,11 +13,8 @@ from avesolve.bench import (
     bench_config,
     default_tau_grid,
     efficiency_robustness,
-    emit_csv,
     performance_ratios,
-    profile_curve,
     profile_curves,
-    read_ratios_csv,
     run_bench,
     write_bench_manifest,
     write_grid_outputs,
@@ -145,24 +142,16 @@ class TestPerformanceRatios:
 class TestCurves:
     def test_hand_values(self):
         table = performance_ratios(HAND_RECORDS)
-        curve = dict(profile_curve(table, "s1", np.array([1.0, 2.0, 4.0, 20.0])))
-        assert curve[1.0] == 0.5
-        assert curve[2.0] == 0.5
-        assert curve[4.0] == 1.0
-        curve2 = dict(profile_curve(table, "s2", np.array([1.0, 2.0, 4.0, 20.0])))
-        assert curve2[1.0] == 0.5
-        assert curve2[2.0] == 1.0
+        curves = profile_curves(table, np.array([1.0, 2.0, 4.0, 20.0]))
+        npt.assert_array_equal(curves, [[0.5, 0.5], [0.5, 1.0], [1.0, 1.0], [1.0, 1.0]])
 
     def test_monotone_nondecreasing(self):
-        table = performance_ratios(HAND_RECORDS)
-        for sid in table.solver_ids:
-            vals = [v for _, v in profile_curve(table, sid)]
-            assert all(b >= a for a, b in zip(vals, vals[1:]))
+        curves = profile_curves(performance_ratios(HAND_RECORDS))
+        assert curves.shape == (191, 2)
+        assert np.all(np.diff(curves, axis=0) >= 0.0)
 
     def test_reaches_one_at_ceiling_when_all_converge(self):
-        table = performance_ratios(HAND_RECORDS)
-        for sid, curve in profile_curves(table).items():
-            assert curve[-1][1] == 1.0
+        npt.assert_array_equal(profile_curves(performance_ratios(HAND_RECORDS))[-1], [1.0, 1.0])
 
     def test_failures_pin_curve_until_ceiling(self):
         # Failed cells carry the ceiling ratio, so the curve stays flat
@@ -170,23 +159,43 @@ class TestCurves:
         records = HAND_RECORDS[:3] + [
             rec("p2", "s2", 1.0, status=SolveStatus.MAX_ITER_REACHED)
         ]
-        table = performance_ratios(records)
-        curve = dict(profile_curve(table, "s2", np.array([2.0, 19.9, 20.0])))
-        assert curve[2.0] == 0.5
-        assert curve[19.9] == 0.5
-        assert curve[20.0] == 1.0
+        curves = profile_curves(performance_ratios(records), np.array([2.0, 19.9, 20.0]))
+        npt.assert_array_equal(curves[:, 1], [0.5, 0.5, 1.0])
 
-    def test_unknown_solver(self):
-        table = performance_ratios(HAND_RECORDS)
-        with pytest.raises(ValueError, match="nope"):
-            profile_curve(table, "nope")
+    def test_matches_per_tau_reference(self):
+        """The sorted-column search gives the bits of counting, per tau and
+        per solver, the ratios at most tau: over ties, 0 = 0 cells, failed
+        and saturated cells, and tau equal to a ratio."""
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            P, S = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+            records = [
+                rec(f"p{i}", f"s{j}", 0.5, it=int(rng.choice([0, 1, 2, 3, rng.integers(0, 200)])),
+                    status=rng.choice([SolveStatus.CONVERGED, SolveStatus.DIVERGED, None]))
+                for i in range(P) for j in range(S)
+            ]
+            r_max = float(rng.choice([1.5, 4.0, 20.0]))
+            table = performance_ratios(records, r_max=r_max, measure="iterations")
+            tau = np.sort(np.concatenate([
+                rng.choice(table.ratios.ravel(), size=3), rng.uniform(1.0, r_max + 1.0, 4),
+                [1.0, r_max, np.nextafter(r_max, 0.0)],
+            ]))
+            curves = profile_curves(table, tau)
+            expected = [
+                [float(np.count_nonzero(table.ratios[:, j] <= t)) / P for j in range(S)]
+                for t in tau
+            ]
+            assert curves.shape == (tau.size, S) and curves.dtype == np.float64
+            npt.assert_array_equal(curves, expected)
 
     def test_grid_validation(self):
         table = performance_ratios(HAND_RECORDS)
         with pytest.raises(ValueError):
-            profile_curve(table, "s1", np.array([2.0, 1.0]))
+            profile_curves(table, np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
-            profile_curve(table, "s1", np.array([0.5, 2.0]))
+            profile_curves(table, np.array([0.5, 2.0]))
+        with pytest.raises(ValueError):
+            profile_curves(table, np.array([]))
 
     def test_default_grids(self):
         lin = default_tau_grid(20.0)
@@ -285,24 +294,26 @@ class TestRunBench:
         assert bench_config(max_iter=10).max_iter == 10
 
 
+def write_hand_grid(out, tau_grid=None):
+    problems = {pid: AveProblem(2.0 * np.eye(2), np.ones(2)) for pid in ("p1", "p2")}
+    return write_grid_outputs(out, HAND_RECORDS, problems, ["s1", "s2"], bench_config(),
+                              repeats=1, measure="time", seed=0, tau_grid=tau_grid)
+
+
 class TestCsvIo:
     def test_ratio_table_roundtrip(self, tmp_path):
-        table = performance_ratios(HAND_RECORDS)
-        path = tmp_path / "ratios.csv"
-        emit_csv(table, path)
-        pids, sids, ratios = read_ratios_csv(path)
-        assert pids == table.problem_ids
-        assert sids == table.solver_ids
-        npt.assert_array_equal(ratios, table.ratios)
+        table, _ = write_hand_grid(tmp_path)
+        header, *rows = [ln.split(",") for ln in (tmp_path / "ratios.csv").read_text().splitlines()]
+        assert tuple(header) == ("problem_id", *table.solver_ids)
+        assert tuple(r[0] for r in rows) == table.problem_ids
+        npt.assert_array_equal([[float(v) for v in r[1:]] for r in rows], table.ratios)
 
     def test_curves_csv_layout(self, tmp_path):
-        table = performance_ratios(HAND_RECORDS)
-        curves = profile_curves(table, np.array([1.0, 2.0, 4.0]))
-        path = tmp_path / "curves.csv"
-        emit_csv(curves, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "tau,s1,s2"
-        assert len(lines) == 4
+        table, _ = write_hand_grid(tmp_path, np.array([1.0, 2.0, 4.0]))
+        data = np.loadtxt(tmp_path / "curves.csv", delimiter=",", skiprows=1)
+        assert (tmp_path / "curves.csv").read_text().splitlines()[0] == "tau,s1,s2"
+        npt.assert_array_equal(data[:, 0], [1.0, 2.0, 4.0])
+        npt.assert_array_equal(data[:, 1:], profile_curves(table, data[:, 0]))
 
     def test_manifest_written(self, tmp_path):
         import json

@@ -166,7 +166,7 @@ class TestDrsExact:
         xstar = p.known_solution
         A = p.A.toarray()
         lead = gamma * (2.0 - gamma) / 4.0
-        vals = [G.norm_sq(A @ (x - xstar)) for x in xs]
+        vals = [float(d @ d) for d in (A @ (x - xstar) for x in xs)]
         slack = 1e-8 * (1.0 + vals[0])
         for k in range(len(xs) - 1):
             e = residual(p, xs[k])
