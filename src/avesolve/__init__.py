@@ -37,12 +37,10 @@ from .linalg import (
 )
 from .lsqr import LsqrResult, LsqrStop, lsqr_solve
 from .solvers import (
-    InnerSolverStallError,
     Method,
     SolveReport,
     SolverConfig,
     SolveStatus,
-    ThetaUndefinedError,
     run_solver,
 )
 from .bench import (

@@ -9,8 +9,10 @@ solver's efficiency (how often it wins), the plateau its robustness (how
 often it converges at all).
 
 Failures of any kind (non-convergence, divergence, singular systems,
-solver errors) never abort the grid; they are recorded and assigned the
-ceiling ratio ``r_max``.  All ratios saturate at ``r_max`` so every curve
+stagnation, an undefined inexact-Newton theta as ``ThetaUndefined``, an
+inner solve that missed its bound as ``InnerSolverStalled``) arrive as
+report statuses and never abort the grid; they are recorded and assigned
+the ceiling ratio ``r_max``.  All ratios saturate at ``r_max`` so every curve
 reaches its plateau there.
 
 Measuring ``"iterations"`` instead of ``"time"`` makes the whole pipeline
@@ -20,7 +22,6 @@ deterministic: two runs of the same grid produce identical tables.
 from __future__ import annotations
 
 import json
-import time
 import os
 from dataclasses import dataclass, fields
 
@@ -28,13 +29,7 @@ import numpy as np
 
 from .core import AveProblem
 from .generators import gen_x0
-from .solvers import (
-    InnerSolverStallError,
-    SolveStatus,
-    SolverConfig,
-    ThetaUndefinedError,
-    run_solver,
-)
+from .solvers import SolveStatus, SolverConfig, run_solver
 
 __all__ = [
     "IncompleteGridError",
@@ -68,15 +63,13 @@ class IncompleteGridError(Exception):
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One grid cell.  ``status`` is None when the solver raised instead of
-    returning a report; ``error`` then names the failure."""
+    """One grid cell."""
 
     problem_id: str
     solver_id: str
     mean_time: float
     iterations: int
-    status: SolveStatus | None
-    error: str = ""
+    status: SolveStatus
 
     @property
     def converged(self) -> bool:
@@ -131,9 +124,9 @@ def run_bench(
 
     Each problem gets one starting point derived from ``seed`` and its
     position, shared by all solvers on that problem so the comparison is
-    fair.  ``mean_time`` averages the wall time of all repeats; iteration
-    count and status come from the first run (repeats are identical apart
-    from timing).  Solver exceptions become failure records.
+    fair.  ``mean_time`` averages the reports' wall time over all repeats;
+    iteration count and status come from the first run (repeats are
+    identical apart from timing).
     """
     if repeats < 1:
         raise ValueError(f"run_bench: repeats must be >= 1, got {repeats}")
@@ -145,31 +138,14 @@ def run_bench(
     for index, (pid, problem) in enumerate(problems.items()):
         x0 = gen_x0(problem.n, _x0_seed(seed, index))
         for sid in solvers:
-            times = []
-            status: SolveStatus | None = None
-            iterations = 0
-            error = ""
-            try:
-                for r in range(repeats):
-                    t0 = time.perf_counter()
-                    report = run_solver(sid, problem, cfg, x0=x0)
-                    times.append(time.perf_counter() - t0)
-                    if r == 0:
-                        status = report.status
-                        iterations = report.iterations
-            except (ThetaUndefinedError, InnerSolverStallError) as exc:
-                # Deterministic failures: repeating them reveals nothing.
-                times.append(time.perf_counter() - t0)
-                status = None
-                error = f"{type(exc).__name__}: {exc}"
+            reports = [run_solver(sid, problem, cfg, x0=x0) for _ in range(repeats)]
             records.append(
                 BenchRecord(
                     problem_id=pid,
                     solver_id=sid,
-                    mean_time=float(np.mean(times)),
-                    iterations=iterations,
-                    status=status,
-                    error=error,
+                    mean_time=float(np.mean([r.wall_time for r in reports])),
+                    iterations=reports[0].iterations,
+                    status=reports[0].status,
                 )
             )
     return records

@@ -5,10 +5,12 @@ solver on a bundle, ``check`` prints solvability diagnostics, ``bench``
 runs a solver grid and writes ratio CSVs, ``profile`` additionally writes
 profile curves.
 
-``solve`` exit codes: 0 converged, 2 diverged, 3 iteration limit,
-4 singular system, 5 solver error (undefined theta, inner solver stall),
-6 stagnated (the next step would return the iterate unchanged), 1 input
-errors.  A JSON file given through ``--config`` overrides any
+``solve`` exit codes follow the report status: 0 ``Converged``,
+2 ``Diverged``, 3 ``MaxIterReached``, 4 ``SingularSystem``, 5 solver
+error (``ThetaUndefined``: the derived theta of ``inexact-newton`` does
+not exist; ``InnerSolverStalled``: an LSQR inner solve missed its bound),
+6 ``Stagnated`` (the next step would return the iterate unchanged), and
+1 input errors.  A JSON file given through ``--config`` overrides any
 flags it names.
 """
 
@@ -35,11 +37,9 @@ from .generators import (
 from .mmio import FileFormatError, read_vector
 from .solvers import (
     ALPHA_MODES,
-    InnerSolverStallError,
     Method,
     SolveStatus,
     SolverConfig,
-    ThetaUndefinedError,
     run_solver,
     write_report_trace,
 )
@@ -58,6 +58,8 @@ _STATUS_EXIT = {
     SolveStatus.MAX_ITER_REACHED: EXIT_MAX_ITER,
     SolveStatus.SINGULAR_SYSTEM: EXIT_SINGULAR,
     SolveStatus.STAGNATED: EXIT_STAGNATED,
+    SolveStatus.THETA_UNDEFINED: EXIT_SOLVER_ERROR,
+    SolveStatus.INNER_SOLVER_STALLED: EXIT_SOLVER_ERROR,
 }
 
 # SolverConfig fields with one flag and one --config key each; G comes from --g-diag.
@@ -250,9 +252,6 @@ def main(argv=None) -> int:
     except (FileFormatError, FileNotFoundError, GeneratorFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ThetaUndefinedError, InnerSolverStallError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_ERROR
 
 
 def cli() -> None:

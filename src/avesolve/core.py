@@ -21,7 +21,9 @@ guaranteed bounds, so a certificate is never issued on an estimate's word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import numbers
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -50,6 +52,35 @@ BOUNDARY_TOL = 1e-8
 # Candidate contraction parameters for the Banach certificate.  A value
 # passes only if the first one does (see ``_banach_witness``).
 BANACH_NU_GRID = np.round(np.arange(1, 100) * 0.01, 2)
+
+
+# Accepted type and its description for each numeric field annotation that
+# check_number_fields reads; NumPy scalars pass the ABCs.
+_NUMBER_KINDS = {"float": (numbers.Real, "a number"), "int": (numbers.Integral, "an integer")}
+
+
+@functools.cache
+def _number_fields(cls) -> tuple:
+    """(name, accepted type, its description, None allowed) for each field
+    of dataclass ``cls`` annotated ``int`` or ``float``, or that ``| None``."""
+    return tuple(
+        (f.name, *_NUMBER_KINDS[kind], optional == "None")
+        for f in fields(cls)
+        for kind, _, optional in [f.type.partition(" | ")]
+        if kind in _NUMBER_KINDS
+    )
+
+
+def check_number_fields(obj) -> None:
+    """Raise ``ValueError`` naming the first numeric field of dataclass
+    ``obj`` whose value is not of its annotated kind; a bool is never a
+    number here."""
+    for name, kind, what, optional in _number_fields(type(obj)):
+        value = getattr(obj, name)
+        if value is None and optional:
+            continue
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{type(obj).__name__}: {name} must be {what}, got {value!r}")
 
 
 class ZeroResidualError(Exception):

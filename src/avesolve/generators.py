@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import AveProblem
+from .core import AveProblem, check_number_fields
 from .linalg import is_sparse, sigma_min_estimate
 from .mmio import (
     FileFormatError,
@@ -84,6 +84,7 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"GeneratorSpec: unknown family {self.family!r}")
+        check_number_fields(self)
         if self.family != NOSOL1D and self.n < 1:
             raise ValueError(f"GeneratorSpec: family {self.family!r} needs n >= 1")
         if self.family == RANDOM:

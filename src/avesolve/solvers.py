@@ -32,16 +32,19 @@ Every solver stops when ``||e(x^k)|| <= epsilon``, declares divergence when
 ``||x^k||`` reaches ``divergence_threshold``, and otherwise gives up at
 ``max_iter`` steps; the two Newton methods also stop as ``STAGNATED`` once
 the sign pattern has settled and its linear solve cannot move ``x^k``
-any further.  A singular linear system surfaces as a report status,
-not an exception, so batch drivers can keep going.
+any further.  Every failure is a report status, never an exception, so
+batch drivers can keep going: a singular linear system ends the run as
+``SingularSystem``, an ``inexact-newton`` run whose derived ``theta`` is
+undefined as ``ThetaUndefined`` at iteration 0, and an inexact run whose
+LSQR inner solve cannot meet its bound within its retries as
+``InnerSolverStalled``, with the history up to that step kept.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
@@ -49,7 +52,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .core import AveProblem, GMatrix, residual, rho, theta_k
+from .core import AveProblem, GMatrix, check_number_fields, residual, rho, theta_k
 from .linalg import (
     SingularMatrixError,
     lu_factor,
@@ -69,8 +72,6 @@ __all__ = [
     "SolveStatus",
     "SolverConfig",
     "SolveReport",
-    "ThetaUndefinedError",
-    "InnerSolverStallError",
     "run_solver",
     "write_report_trace",
 ]
@@ -105,18 +106,15 @@ class SolveStatus(Enum):
     DIVERGED = "Diverged"
     SINGULAR_SYSTEM = "SingularSystem"
     STAGNATED = "Stagnated"
+    THETA_UNDEFINED = "ThetaUndefined"
+    INNER_SOLVER_STALLED = "InnerSolverStalled"
 
 
-class ThetaUndefinedError(Exception):
-    """Automatic inexactness bound requires ``||A^{-1}|| < 1/3``."""
+class _Stop(Exception):
+    """Raised by a method's set-up or step to end the run with ``status``."""
 
-
-class InnerSolverStallError(Exception):
-    """LSQR could not reach the inner acceptance criterion."""
-
-
-class _Stagnation(Exception):
-    """Raised by a step that cannot move its iterate any further."""
+    def __init__(self, status: SolveStatus):
+        self.status = status
 
 
 @dataclass(frozen=True)
@@ -145,12 +143,9 @@ class SolverConfig:
     inner_max_iter: int | None = None
 
     def __post_init__(self) -> None:
-        for name, kind, what, optional in _NUMERIC_FIELDS:
-            value = getattr(self, name)
-            if value is None and optional:
-                continue
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"SolverConfig: {name} must be {what}, got {value!r}")
+        check_number_fields(self)
+        if not isinstance(self.G, GMatrix):
+            raise ValueError(f"SolverConfig: G must be a GMatrix, got {type(self.G).__name__}")
         if not 0.0 < self.gamma < 2.0:
             raise ValueError(f"SolverConfig: gamma must be in (0, 2), got {self.gamma}")
         if not 0.0 < self.delta < 1.0:
@@ -178,17 +173,6 @@ class SolverConfig:
             raise ValueError("SolverConfig: divergence_threshold must be positive")
         if self.inner_max_iter is not None and self.inner_max_iter < 1:
             raise ValueError("SolverConfig: inner_max_iter must be positive")
-
-
-# (name, accepted type, its description, None allowed) for each numeric
-# SolverConfig field, read from its annotation; NumPy scalars pass the ABCs.
-_NUMBER_KINDS = {"float": (numbers.Real, "a number"), "int": (numbers.Integral, "an integer")}
-_NUMERIC_FIELDS = tuple(
-    (f.name, *_NUMBER_KINDS[kind], optional == "None")
-    for f in fields(SolverConfig)
-    for kind, _, optional in [f.type.partition(" | ")]
-    if kind in _NUMBER_KINDS
-)
 
 
 @dataclass
@@ -224,8 +208,9 @@ def _drive(
 
     ``make_step(p, cfg)`` runs once, after iterate 0 is reported and before
     the loop (option checks, factorizations, norm estimates), and returns
-    ``step(x, k, e, e_norm) -> (x_next, inner_iters)`` or raises
-    SingularMatrixError, which becomes a report status.
+    ``step(x, k, e, e_norm) -> (x_next, inner_iters)``.  Set-up and steps
+    end a run early by raising SingularMatrixError or :class:`_Stop`;
+    either becomes the report status.
     """
     t0 = time.perf_counter()
     x = np.array(x0, dtype=np.float64, copy=True).reshape(-1)
@@ -247,40 +232,32 @@ def _drive(
     if callback is not None:
         callback(0, x)
 
-    status: SolveStatus | None = None
     k = 0
     try:
         step = make_step(p, cfg)
+        while True:
+            if en <= cfg.epsilon:
+                status = SolveStatus.CONVERGED
+                break
+            if xnorm_hist[-1] >= cfg.divergence_threshold:
+                status = SolveStatus.DIVERGED
+                break
+            if k >= cfg.max_iter:
+                status = SolveStatus.MAX_ITER_REACHED
+                break
+            x, inner = step(x, k, e, en)
+            k += 1
+            e = residual(p, x)
+            en = norm2(e)
+            res_hist.append(en)
+            xnorm_hist.append(norm2(x))
+            inner_hist.append(inner)
+            if callback is not None:
+                callback(k, x)
     except SingularMatrixError:
         status = SolveStatus.SINGULAR_SYSTEM
-        step = None
-
-    while status is None:
-        if en <= cfg.epsilon:
-            status = SolveStatus.CONVERGED
-            break
-        if xnorm_hist[-1] >= cfg.divergence_threshold:
-            status = SolveStatus.DIVERGED
-            break
-        if k >= cfg.max_iter:
-            status = SolveStatus.MAX_ITER_REACHED
-            break
-        try:
-            x, inner = step(x, k, e, en)
-        except SingularMatrixError:
-            status = SolveStatus.SINGULAR_SYSTEM
-            break
-        except _Stagnation:
-            status = SolveStatus.STAGNATED
-            break
-        k += 1
-        e = residual(p, x)
-        en = norm2(e)
-        res_hist.append(en)
-        xnorm_hist.append(norm2(x))
-        inner_hist.append(inner)
-        if callback is not None:
-            callback(k, x)
+    except _Stop as stop:
+        status = stop.status
 
     return SolveReport(
         status=status,
@@ -435,7 +412,6 @@ def _solve_to_criterion(
     target: float,
     accepts: Callable[[np.ndarray], bool],
     max_inner: int,
-    what: str,
 ):
     """Inner solves of ``space.op y = rhs`` through ``space.solve`` until
     ``accepts`` passes on the returned candidate, halving the residual
@@ -460,7 +436,9 @@ def _solve_to_criterion(
     purpose.  A candidate of a first attempt that was deflated is retried
     instead: its ``Y W^T`` corrections leave rounding errors in the
     residual without a single LSQR iteration spent on them, and one retry
-    removes them.  ``MaxIter`` and ``Breakdown`` stops are retried.
+    removes them.  ``MaxIter`` and ``Breakdown`` stops are retried; once
+    ``INNER_RETRY_LIMIT`` retries are spent the run ends as
+    ``INNER_SOLVER_STALLED``.
     """
     inner_total = 0
     x_warm = x_start
@@ -475,10 +453,7 @@ def _solve_to_criterion(
             return cand, inner_total
         x_warm = cand
         target *= 0.5
-    raise InnerSolverStallError(
-        f"{what}: LSQR could not reach the acceptance criterion within "
-        f"{INNER_RETRY_LIMIT + 1} attempts of {max_inner} iterations each"
-    )
+    raise _Stop(SolveStatus.INNER_SOLVER_STALLED)
 
 
 def _drs_inexact(p: AveProblem, cfg: SolverConfig):
@@ -527,7 +502,7 @@ def _drs_inexact(p: AveProblem, cfg: SolverConfig):
             return norm2(theta(cand)) <= bound
 
         target = 0.5 * bound
-        return _solve_to_criterion(space, rhs, x, target, accepts, max_inner, "inexact-drs")
+        return _solve_to_criterion(space, rhs, x, target, accepts, max_inner)
 
     return step
 
@@ -548,19 +523,20 @@ def _newton_exact(p: AveProblem, cfg: SolverConfig):
         nonlocal prev
         s = sign_diag(x)
         if prev is not None and np.array_equal(s, prev):
-            raise _Stagnation
+            raise _Stop(SolveStatus.STAGNATED)
         prev = s
         return lu_solve(lu_factor(A, shift=s), p.b), 0
 
     return step
 
 
-def resolve_newton_theta(p: AveProblem, cfg: SolverConfig) -> float:
+def resolve_newton_theta(p: AveProblem, cfg: SolverConfig) -> float | None:
     """Inexactness bound ``theta`` for ``inexact-newton``.
 
     A fixed ``cfg.theta`` is returned as-is.  Otherwise the bound
     ``0.9999 (1 - 3 ||A^{-1}||) / (||A^{-1}|| (||A|| + 3))`` is evaluated
-    from norm estimates; it only exists for ``||A^{-1}|| < 1/3``.
+    from norm estimates; it only exists for ``||A^{-1}|| < 1/3``, and
+    ``None`` is returned when the estimates put ``||A^{-1}||`` outside.
     """
     if cfg.theta is not None:
         return cfg.theta
@@ -568,10 +544,7 @@ def resolve_newton_theta(p: AveProblem, cfg: SolverConfig) -> float:
     sigma_min = sigma_min_estimate(p.A, tol=1e-8)
     inv_norm = np.inf if sigma_min == 0.0 else 1.0 / sigma_min
     if inv_norm >= 1.0 / 3.0:
-        raise ThetaUndefinedError(
-            f"inexact-newton: derived theta needs ||A^-1|| < 1/3, "
-            f"estimated ||A^-1|| = {inv_norm:.4f}"
-        )
+        return None
     return 0.9999 * (1.0 - 3.0 * inv_norm) / (inv_norm * (norm_A + 3.0))
 
 
@@ -591,8 +564,11 @@ def _newton_inexact(p: AveProblem, cfg: SolverConfig):
     starts a fresh run from ``x^k``.  A run that stopped at ``Roundoff``
     has gone as far as double precision takes that system, so an
     unconverged step with its pattern ends the solve as ``STAGNATED``.
+    An undefined derived ``theta`` ends it as ``THETA_UNDEFINED``.
     """
     theta = resolve_newton_theta(p, cfg)
+    if theta is None:
+        raise _Stop(SolveStatus.THETA_UNDEFINED)
     if theta == 0.0:
         return _newton_exact(p, cfg)
     max_inner = _inner_cap(p, cfg)
@@ -610,13 +586,13 @@ def _newton_inexact(p: AveProblem, cfg: SolverConfig):
             ))
             prev = s
         elif run.exhausted:
-            raise _Stagnation
+            raise _Stop(SolveStatus.STAGNATED)
         bound = theta * en
 
         def accepts(cand: np.ndarray) -> bool:
             return norm2(p.A @ cand - s * cand - p.b) <= bound
 
-        return _solve_to_criterion(run, p.b, x, bound, accepts, max_inner, "inexact-newton")
+        return _solve_to_criterion(run, p.b, x, bound, accepts, max_inner)
 
     return step
 

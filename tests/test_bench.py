@@ -24,10 +24,8 @@ from avesolve.generators import GeneratorSpec, gen_random_sparse
 from avesolve.solvers import SolveStatus
 
 
-def rec(pid, sid, t, it=10, status=SolveStatus.CONVERGED, error=""):
-    return BenchRecord(
-        problem_id=pid, solver_id=sid, mean_time=t, iterations=it, status=status, error=error
-    )
+def rec(pid, sid, t, it=10, status=SolveStatus.CONVERGED):
+    return BenchRecord(problem_id=pid, solver_id=sid, mean_time=t, iterations=it, status=status)
 
 
 HAND_RECORDS = [
@@ -70,7 +68,7 @@ class TestPerformanceRatios:
         assert table.ratios[1, 0] == 1.0
 
     def test_error_record_counts_as_failure(self):
-        records = HAND_RECORDS[:3] + [rec("p2", "s2", 0.0, status=None, error="ThetaUndefined")]
+        records = HAND_RECORDS[:3] + [rec("p2", "s2", 0.0, status=SolveStatus.THETA_UNDEFINED)]
         table = performance_ratios(records)
         assert not table.converged[1, 1]
         assert table.ratios[1, 1] == table.r_max
@@ -116,7 +114,8 @@ class TestPerformanceRatios:
             records = [
                 rec(f"p{i}", f"s{j}", float(rng.choice([0.0, 0.5, rng.uniform(0.0, 3.0), 1e300])),
                     it=int(rng.choice([0, 1, 3, rng.integers(0, 100)])),
-                    status=rng.choice([SolveStatus.CONVERGED, SolveStatus.DIVERGED, None]))
+                    status=rng.choice([SolveStatus.CONVERGED, SolveStatus.DIVERGED,
+                                       SolveStatus.THETA_UNDEFINED]))
                 for i in range(P) for j in range(S)
             ]
             rng.shuffle(records)
@@ -171,7 +170,8 @@ class TestCurves:
             P, S = int(rng.integers(1, 8)), int(rng.integers(1, 5))
             records = [
                 rec(f"p{i}", f"s{j}", 0.5, it=int(rng.choice([0, 1, 2, 3, rng.integers(0, 200)])),
-                    status=rng.choice([SolveStatus.CONVERGED, SolveStatus.DIVERGED, None]))
+                    status=rng.choice([SolveStatus.CONVERGED, SolveStatus.DIVERGED,
+                                       SolveStatus.THETA_UNDEFINED]))
                 for i in range(P) for j in range(S)
             ]
             r_max = float(rng.choice([1.5, 4.0, 20.0]))
@@ -264,7 +264,6 @@ class TestRunBench:
             assert r.status is SolveStatus.CONVERGED
             assert r.mean_time > 0.0
             assert r.iterations > 0
-            assert r.error == ""
 
     def test_iteration_mode_deterministic(self):
         problems = problem_set(3)
@@ -285,8 +284,8 @@ class TestRunBench:
         }
         records = run_bench(problems, ["inexact-newton"], bench_config(), repeats=1, seed=1)
         by_pid = {r.problem_id: r for r in records}
-        assert by_pid["bad"].status is None
-        assert "Theta" in by_pid["bad"].error or "theta" in by_pid["bad"].error
+        assert by_pid["bad"].status is SolveStatus.THETA_UNDEFINED
+        assert by_pid["bad"].iterations == 0
         assert by_pid["good"].status is SolveStatus.CONVERGED
 
     def test_default_cutoff_is_fifty(self):
@@ -376,8 +375,8 @@ def test_grid_outputs_golden_bytes(tmp_path):
         for pid, row in GOLDEN_ITERATIONS.items()
         for sid, it in zip("abc", row)
     ]
-    # One failure in the row "none" is a raised error rather than a status.
-    records[7] = rec("none", "b", 0.0, it=0, status=None, error="ThetaUndefinedError: x")
+    # One failure in the row "none" is an undefined theta rather than the iteration cap.
+    records[7] = rec("none", "b", 0.0, it=0, status=SolveStatus.THETA_UNDEFINED)
     problems = {pid: AveProblem(2.0 * np.eye(2), np.ones(2)) for pid in GOLDEN_ITERATIONS}
     write_grid_outputs(tmp_path, records, problems, list("abc"), bench_config(), repeats=1,
                        measure="iterations", seed=0, r_max=10.0,

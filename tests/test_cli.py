@@ -8,10 +8,10 @@ import pytest
 
 from avesolve import bench as bench_mod
 from avesolve.bench import BENCH_MAX_ITER, write_bench_manifest
-from avesolve.cli import _config_from_args, build_parser, main
+from avesolve.cli import _STATUS_EXIT, _config_from_args, build_parser, main
 from avesolve.core import AveProblem
 from avesolve.generators import gen_tridiag8, read_manifest, save_problem
-from avesolve.solvers import ALPHA_MODES, SolverConfig
+from avesolve.solvers import ALPHA_MODES, SolverConfig, SolveStatus
 
 # Every SolverConfig field but the metric G has its own flag and JSON key.
 CONFIG_FIELDS = [f.name for f in fields(SolverConfig) if f.name != "G"]
@@ -116,7 +116,7 @@ class TestSolve:
         )
         code = main(["solve", "--problem", str(bundle), "--method", "inexact-newton"])
         assert code == 5
-        assert "theta" in capsys.readouterr().err.lower()
+        assert "status=ThetaUndefined" in capsys.readouterr().out
 
     def test_stagnated_exit(self, tridiag_bundle, capsys):
         # No double-precision iterate has a residual of 1e-300 on this system.
@@ -326,6 +326,11 @@ class TestBenchAndProfile:
              "--solvers", "drs", "--out", str(tmp_path / "y")]
         )
         assert code == 1
+
+
+@pytest.mark.parametrize("status", list(SolveStatus), ids=lambda s: s.value)
+def test_every_status_has_an_exit_code(status):
+    assert status in _STATUS_EXIT
 
 
 def test_no_subcommand_is_usage_error():

@@ -30,6 +30,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="family"):
             GeneratorSpec(family="hilbert", n=4)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 10.5), ("n", True), ("n", "10"), ("seed", 1.5), ("seed", False),
+        ("density", "0.1"), ("sigma_min_target", None), ("margin", [0.05]),
+    ])
+    def test_field_types(self, field, value):
+        with pytest.raises(ValueError, match=f"GeneratorSpec: {field} must be"):
+            GeneratorSpec(family="random", **{"n": 10, field: value})
+
+    def test_numpy_scalars_accepted(self):
+        spec = GeneratorSpec(family="random", n=np.int64(10), density=np.float32(0.5),
+                             seed=np.uint32(3))
+        assert (spec.n, spec.seed) == (10, 3)
+
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             GeneratorSpec(family="random", n=0)

@@ -28,12 +28,10 @@ from avesolve.lsqr import LsqrStop, as_operator, lsqr_solve
 from avesolve.solvers import (
     ContinuedRun,
     Deflation,
-    InnerSolverStallError,
     _solve_to_criterion,
     Method,
     SolveStatus,
     SolverConfig,
-    ThetaUndefinedError,
     _heuristic_alpha,
     resolve_newton_theta,
     run_solver,
@@ -86,6 +84,8 @@ class TestConfigValidation:
             {"epsilon": float("inf")},
             {"omega": float("inf")},
             {"theta": float("inf")},
+            {"G": np.ones(3)},
+            {"G": None},
         ],
     )
     def test_rejected(self, kwargs):
@@ -254,8 +254,8 @@ class TestDrsInexact:
         # One inner iteration per attempt cannot hit a near-exact tolerance.
         p = small_random_problem(9, n=5)
         cfg = SolverConfig(alpha_mode="theoretical", mu=1e12, inner_max_iter=1)
-        with pytest.raises(InnerSolverStallError):
-            run_solver("inexact-drs", p, cfg, x0=gen_x0(5, seed=10))
+        rep = run_solver("inexact-drs", p, cfg, x0=gen_x0(5, seed=10))
+        assert rep.status is SolveStatus.INNER_SOLVER_STALLED
 
     def test_roundoff_floor_accepts_machine_exact_candidate(self):
         # A target far below the roundoff scale of the system and a check
@@ -264,7 +264,7 @@ class TestDrsInexact:
         space = ContinuedRun(as_operator(np.eye(2)))
         rhs = np.array([1.0, -2.0])
         sol, _ = _solve_to_criterion(
-            space, rhs, np.zeros(2), 1e-300, lambda cand: False, 50, "probe"
+            space, rhs, np.zeros(2), 1e-300, lambda cand: False, 50
         )
         assert space.res.stop_reason in (LsqrStop.RESIDUAL_TOL, LsqrStop.ROUNDOFF)
         npt.assert_allclose(sol, rhs, rtol=0, atol=1e-12)
@@ -279,6 +279,32 @@ class TestDrsInexact:
         rep = run_solver("inexact-drs", p, SolverConfig(), x0=gen_x0(200, seed=1003))
         assert rep.status is SolveStatus.CONVERGED
         assert rep.final_residual_norm <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "method, p, cfg, status, min_iterations",
+    [
+        ("inexact-newton", AveProblem(np.array([[1.0, 2.0], [-2.0 / 3.0, 1.0]]), np.ones(2)),
+         SolverConfig(), SolveStatus.THETA_UNDEFINED, 0),
+        # One LSQR iteration per attempt meets the early, loose bounds of the
+        # heuristic schedule but not the tighter ones that follow.
+        ("inexact-drs", small_random_problem(0, n=10), SolverConfig(k_max=0, inner_max_iter=1),
+         SolveStatus.INNER_SOLVER_STALLED, 1),
+    ],
+    ids=["theta-undefined", "inner-stall"],
+)
+def test_failed_run_report_is_complete(method, p, cfg, status, min_iterations):
+    """A failure is a status on a full report: histories up to the last
+    accepted iterate, the run's wall time, and every iterate reported."""
+    seen = []
+    rep = run_solver(method, p, cfg, x0=gen_x0(p.n, seed=10), callback=lambda k, x: seen.append(k))
+    assert rep.status is status
+    assert rep.iterations >= min_iterations
+    assert len(rep.residual_history) == rep.iterations + 1
+    assert len(rep.iterate_norm_history) == len(rep.inner_iteration_history) == rep.iterations + 1
+    assert rep.final_residual_norm == rep.residual_history[-1]
+    assert rep.wall_time > 0.0
+    assert seen == list(range(rep.iterations + 1))
 
 
 class TestDeflation:
@@ -321,7 +347,7 @@ class TestDeflation:
             return len(seen) == 2
 
         sol, inner = _solve_to_criterion(
-            ContinuedRun(as_operator(A)), rhs, x, target, accepts, max_inner, "probe"
+            ContinuedRun(as_operator(A)), rhs, x, target, accepts, max_inner
         )
         npt.assert_array_equal(seen[0], first.solution)
         npt.assert_array_equal(sol, second.solution)
@@ -344,7 +370,7 @@ class TestDeflation:
             (Deflation(A, k=2, Y=np.eye(4)[:, :2] / [1.0, 2.0], W=np.eye(4)[:, :2]), 2),
         ]:
             calls.clear()
-            sol, _ = _solve_to_criterion(space, rhs, np.zeros(4), 1e-20, never, 50, "probe")
+            sol, _ = _solve_to_criterion(space, rhs, np.zeros(4), 1e-20, never, 50)
             npt.assert_allclose(A @ sol, rhs, rtol=0, atol=1e-12)
             assert len(calls) == attempts
 
@@ -525,15 +551,14 @@ class TestNewton:
     def test_theta_undefined_when_inverse_too_large(self):
         # sigma_min = 1 means ||A^-1|| = 1 >= 1/3.
         p = AveProblem(np.array([[1.0, 2.0], [-2.0 / 3.0, 1.0]]), np.zeros(2))
-        with pytest.raises(ThetaUndefinedError):
-            resolve_newton_theta(p, SolverConfig())
-        with pytest.raises(ThetaUndefinedError):
-            run_solver("inexact-newton", p, x0=np.zeros(2))
+        assert resolve_newton_theta(p, SolverConfig()) is None
+        rep = run_solver("inexact-newton", p, x0=np.zeros(2))
+        assert rep.status is SolveStatus.THETA_UNDEFINED
+        assert rep.iterations == 0
 
     def test_theta_undefined_on_singular(self):
         p = AveProblem(np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros(2))
-        with pytest.raises(ThetaUndefinedError):
-            resolve_newton_theta(p, SolverConfig())
+        assert resolve_newton_theta(p, SolverConfig()) is None
 
     def test_exact_stagnates_on_repeated_sign_pattern(self):
         # The residual freezes above epsilon from k = 3 on; the run used to
