@@ -59,6 +59,11 @@ TRIDIAG8, RANDOM, NOSOL1D = FAMILIES
 # Redraws allowed before the sparse generator gives up on a seed.
 MAX_REDRAWS = 10
 
+# Rows of the sparsity pattern drawn at a time.  Generator.random fills its
+# output in order, so these blocks read the same stream values as one n x n
+# draw would, without ever holding an n x n array.
+PATTERN_BLOCK_ROWS = 64
+
 
 class GeneratorFailure(Exception):
     """The random generator could not produce a usable matrix."""
@@ -124,6 +129,20 @@ def gen_tridiag8(n: int) -> AveProblem:
     return AveProblem(A=A, b=b, known_solution=xstar)
 
 
+def _draw_pattern(rng: np.random.Generator, n: int, density: float):
+    """Row and column indices, in row-major order, of the full diagonal and
+    of each off-diagonal entry whose uniform draw falls below ``density``."""
+    rows, cols = [], []
+    for start in range(0, n, PATTERN_BLOCK_ROWS):
+        mask = rng.random((min(PATTERN_BLOCK_ROWS, n - start), n)) < density
+        i = np.arange(mask.shape[0])
+        mask[i, start + i] = True
+        r, c = np.nonzero(mask)
+        rows.append(r + start)
+        cols.append(c)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def gen_random_sparse(spec: GeneratorSpec) -> AveProblem:
     """Random sparse family with a prescribed smallest singular value.
 
@@ -143,9 +162,7 @@ def gen_random_sparse(spec: GeneratorSpec) -> AveProblem:
 
     target = spec.sigma_min_target * (1.0 + spec.margin)
     for _ in range(MAX_REDRAWS + 1):
-        mask = pattern_rng.random((n, n)) < spec.density
-        np.fill_diagonal(mask, True)
-        rows, cols = np.nonzero(mask)
+        rows, cols = _draw_pattern(pattern_rng, n, spec.density)
         vals = -1.0 + 2.0 * _open_uniform(value_rng, rows.size)
         diag = rows == cols
         vals[diag] = 0.5 + _open_uniform(value_rng, int(np.count_nonzero(diag)))

@@ -47,7 +47,6 @@ __all__ = [
     "to_dense",
     "is_sparse",
     "transposed",
-    "lu_operand",
     "lu_factor",
     "lu_solve",
     "norm2",
@@ -74,12 +73,12 @@ def is_sparse(A) -> bool:
 def to_dense(A) -> np.ndarray:
     """Return ``A`` as a column-major float64 array (always a copy)."""
     if is_sparse(A):
-        d = A.toarray(order="F")
+        d = A.toarray(order="F").astype(np.float64, copy=False)
     else:
-        d = np.array(A, dtype=np.float64, copy=True)
+        d = np.array(A, dtype=np.float64, order="F", copy=True)
     if d.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={d.ndim}")
-    return np.asfortranarray(d, dtype=np.float64)
+    return d
 
 
 def transposed(A):
@@ -117,17 +116,6 @@ def band_layout(A) -> tuple[int, int] | None:
         kl = max(0, int(np.max(rows - first)))
         ku = max(0, int(np.max(last - rows)))
     return (kl, ku) if 2 * kl + ku + 1 < n else None
-
-
-def lu_operand(A):
-    """``A`` in the storage :func:`lu_factor` reads it from: sparse banded
-    input as is, anything else widened once to dense.
-
-    For callers that factor many diagonal shifts of one matrix, so that the
-    dense path copies the widened matrix once per factorization instead of
-    widening it again.
-    """
-    return A if band_layout(A) is not None else to_dense(A)
 
 
 @dataclass(frozen=True)
@@ -171,12 +159,14 @@ def lu_factor(A, shift: np.ndarray | None = None) -> LuFactors:
 
     The storage follows :func:`band_layout`: sparse input whose band
     storage is smaller than dense storage is factored with ``dgbtrf`` in
-    O(n kl (kl + ku)) time and O(n (kl + ku)) memory; everything else is
-    copied once into dense column-major storage and factored there in
-    place.  ``shift`` (default zero) is subtracted from the diagonal of that
-    copy, never from ``A``.  Raises :class:`SingularMatrixError` when any
-    pivot magnitude falls below ``PIVOT_RTOL`` times the largest entry
-    magnitude of the factored matrix.
+    O(n kl (kl + ku)) time and O(n (kl + ku)) memory; everything else,
+    sparse input included, is written once into a fresh dense column-major
+    array that ``dgetrf`` overwrites with its factors, so a dense
+    factorization holds one n x n array and no other.  ``shift`` (default
+    zero) is subtracted from the diagonal of that copy, never from ``A``.
+    Raises :class:`SingularMatrixError` when any pivot magnitude falls
+    below ``PIVOT_RTOL`` times the largest entry magnitude of the factored
+    matrix.
     """
     shape = np.shape(A)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -195,7 +185,9 @@ def lu_factor(A, shift: np.ndarray | None = None) -> LuFactors:
         d = _band_storage(A, kl, ku)
         if shift is not None:
             d[kl + ku] -= shift
-    scale = float(np.max(np.abs(d))) if d.size else 0.0
+    # max|d| without an |d| temporary the size of d; the same value for
+    # finite entries, and NaN whenever d holds a NaN.
+    scale = float(max(d.max(), -d.min())) if d.size else 0.0
     if scale == 0.0:
         raise SingularMatrixError("lu_factor: matrix is identically zero")
     # info > 0 reports an exact zero pivot, which the check below catches.

@@ -5,9 +5,10 @@ Matrix Market array files (column-major entry order), vectors as one entry
 per line.  SciPy's writer (``scipy.io.mmwrite``) formats the matrix entries
 in the shortest form that round-trips, e.g. ``3.451248509317211E2``, and its
 reader (``scipy.io.mmread``) parses coordinate entries; array entries are
-parsed by NumPy, which keeps the sign of -0.0.  avesolve checks the banner,
-the size line and the grammar of every entry line itself, and every parse
-failure raises :class:`FileFormatError` naming the file and 1-based line.
+parsed by NumPy's text parser, which keeps the sign of -0.0.  avesolve
+checks the banner, the size line and the grammar of every entry line
+itself, and every parse failure raises :class:`FileFormatError` naming the
+file and 1-based line.
 """
 
 from __future__ import annotations
@@ -124,7 +125,13 @@ def read_matrix_market(path):
               f"not a {field} {fmt} entry: {bad[1].decode(errors='replace').strip()!r}")
 
     if fmt == "array":
-        vals = np.array(data[start:].split(), dtype=np.float64)
+        # The grammar check leaves only numbers and whitespace in the body,
+        # so NumPy's text parser reads it without a Python object per entry;
+        # it reads a body of whitespace alone as [-1.0], hence the search.
+        if re.compile(rb"\S").search(data, start):
+            vals = np.fromstring(data[start:], dtype=np.float64, sep=" ")
+        else:
+            vals = np.empty(0)
         if len(vals) > count:
             extra = next(itertools.islice(re.compile(rb"\S+").finditer(data, start), count, None))
             _fail(path, data.count(b"\n", 0, extra.start()) + 1,

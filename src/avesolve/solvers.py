@@ -56,7 +56,6 @@ from .core import AveProblem, GMatrix, check_number_fields, residual, rho, theta
 from .linalg import (
     SingularMatrixError,
     lu_factor,
-    lu_operand,
     lu_solve,
     matrix_norm2_estimate,
     norm2,
@@ -111,10 +110,12 @@ class SolveStatus(Enum):
 
 
 class _Stop(Exception):
-    """Raised by a method's set-up or step to end the run with ``status``."""
+    """Raised by a method's set-up or step to end the run with ``status``;
+    ``inner`` counts the inner iterations spent by a step that ended it."""
 
-    def __init__(self, status: SolveStatus):
+    def __init__(self, status: SolveStatus, inner: int = 0):
         self.status = status
+        self.inner = inner
 
 
 @dataclass(frozen=True)
@@ -182,6 +183,10 @@ class SolveReport:
     Histories cover iterates ``0..iterations`` inclusive;
     ``inner_iteration_history[k]`` counts the LSQR iterations spent
     producing iterate ``k`` (0 for iterate 0 and for direct methods).
+    ``inner_iteration_total`` counts every LSQR iteration of the run.  It
+    equals the sum of the history, except after ``INNER_SOLVER_STALLED``:
+    the iterations of the step that stalled produced no iterate, so they
+    are in the total alone.
     ``wall_time`` covers the whole run, set-up included: factorizations,
     the norm estimates of a derived ``theta``, and the method's option
     checks.
@@ -233,6 +238,7 @@ def _drive(
         callback(0, x)
 
     k = 0
+    stalled_inner = 0
     try:
         step = make_step(p, cfg)
         while True:
@@ -257,7 +263,7 @@ def _drive(
     except SingularMatrixError:
         status = SolveStatus.SINGULAR_SYSTEM
     except _Stop as stop:
-        status = stop.status
+        status, stalled_inner = stop.status, stop.inner
 
     return SolveReport(
         status=status,
@@ -266,7 +272,7 @@ def _drive(
         residual_history=res_hist,
         iterate_norm_history=xnorm_hist,
         inner_iteration_history=inner_hist,
-        inner_iteration_total=sum(inner_hist),
+        inner_iteration_total=sum(inner_hist) + stalled_inner,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -438,7 +444,7 @@ def _solve_to_criterion(
     residual without a single LSQR iteration spent on them, and one retry
     removes them.  ``MaxIter`` and ``Breakdown`` stops are retried; once
     ``INNER_RETRY_LIMIT`` retries are spent the run ends as
-    ``INNER_SOLVER_STALLED``.
+    ``INNER_SOLVER_STALLED``, carrying the iterations of every attempt.
     """
     inner_total = 0
     x_warm = x_start
@@ -453,7 +459,7 @@ def _solve_to_criterion(
             return cand, inner_total
         x_warm = cand
         target *= 0.5
-    raise _Stop(SolveStatus.INNER_SOLVER_STALLED)
+    raise _Stop(SolveStatus.INNER_SOLVER_STALLED, inner_total)
 
 
 def _drs_inexact(p: AveProblem, cfg: SolverConfig):
@@ -510,13 +516,13 @@ def _drs_inexact(p: AveProblem, cfg: SolverConfig):
 def _newton_exact(p: AveProblem, cfg: SolverConfig):
     """Generalized Newton iteration ``[A - diag(sign(x^k))] x^{k+1} = b``.
 
-    Banded sparse ``A`` is refactored in band storage, O(n bandwidth) per
-    step; any other ``A`` is widened once and copied for each dense LU.
-    An unconverged iterate with the sign pattern of the previous one ends
-    the run as ``STAGNATED``: the next step would solve the same system
-    and return it bit for bit.
+    Each step factors ``p.A`` afresh.  Banded sparse ``A`` is refactored
+    in band storage, O(n bandwidth) per step; any other ``A`` is written
+    into the one dense array that step's LU overwrites, so no second
+    n x n copy outlives a step.  An unconverged iterate with the sign
+    pattern of the previous one ends the run as ``STAGNATED``: the next
+    step would solve the same system and return it bit for bit.
     """
-    A = lu_operand(p.A)
     prev = None
 
     def step(x, k, e, en):
@@ -525,7 +531,7 @@ def _newton_exact(p: AveProblem, cfg: SolverConfig):
         if prev is not None and np.array_equal(s, prev):
             raise _Stop(SolveStatus.STAGNATED)
         prev = s
-        return lu_solve(lu_factor(A, shift=s), p.b), 0
+        return lu_solve(lu_factor(p.A, shift=s), p.b), 0
 
     return step
 

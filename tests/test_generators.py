@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -116,6 +117,23 @@ class TestRandomSparse:
     def test_known_solution_certified(self):
         p = gen_random_sparse(GeneratorSpec(family="random", n=50, seed=11))
         assert norm2(residual(p, p.known_solution)) <= 1e-10 * (1.0 + norm2(p.b))
+
+    # SHA-256 over A.data, A.indices, A.indptr, b and x* (little-endian
+    # float64 and int64) of the default-density draw, recorded while the
+    # sparsity pattern was one n x n draw; neither size is a multiple of
+    # PATTERN_BLOCK_ROWS, so the last block of rows is a partial one.
+    @pytest.mark.parametrize("n, seed, digest", [
+        (130, 3, "3181fc70c3584ffe1930b6af9a2c714f870434d1db3c1da7b29396d8a27fa68c"),
+        (1000, 5, "ea937ca9c306ae855f3380f1b2c4598565731cd14393c9180d236c0a11c8fa54"),
+    ])
+    def test_instance_pinned(self, n, seed, digest):
+        assert n % generators.PATTERN_BLOCK_ROWS != 0
+        p = gen_random_sparse(GeneratorSpec(family="random", n=n, seed=seed))
+        h = hashlib.sha256()
+        for a, dtype in ((p.A.data, "<f8"), (p.A.indices, "<i8"), (p.A.indptr, "<i8"),
+                         (p.b, "<f8"), (p.known_solution, "<f8")):
+            h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+        assert h.hexdigest() == digest
 
     def test_redraw_exhaustion_raises(self, monkeypatch):
         def always_singular(*args, **kwargs):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from avesolve.generators import GeneratorSpec, gen_random_sparse
 from avesolve.linalg import (
+    PIVOT_RTOL,
     SingularMatrixError,
     band_layout,
     lu_factor,
@@ -181,6 +184,32 @@ class TestBandedLu:
         # The shift is applied to the factored copy, never to A.
         npt.assert_array_equal(A.toarray() if banded else A,
                                before.toarray() if banded else before)
+
+    @pytest.mark.parametrize("ratio, singular", [(0.99, True), (1.01, False)])
+    @pytest.mark.parametrize("shifted", [False, True], ids=["negative-entry", "shifted-diagonal"])
+    @pytest.mark.parametrize("banded", [False, True], ids=["dense", "band"])
+    def test_pivot_threshold_is_max_magnitude(self, banded, shifted, ratio, singular):
+        # A - diag(s) is upper bidiagonal, so its pivots are its diagonal.
+        # Its largest magnitude is the negative -M, which the shift alone
+        # puts there in the shifted case (max|A| is then 3).  The last
+        # pivot sits just below or above PIVOT_RTOL * M.
+        n, M = 6, 1e3
+        diag = np.array([-M, 1.0, 1.0, 1.0, 1.0, ratio * PIVOT_RTOL * M])
+        s = np.zeros(n)
+        if shifted:
+            s[0] = M + 1.0
+            diag[0] = 1.0
+        A = np.diag(diag) + np.diag(np.full(n - 1, 3.0), 1)
+        if banded:
+            A = sp.csr_matrix(A)
+            assert band_layout(A) == (0, 1)
+        if singular:
+            with pytest.raises(SingularMatrixError,
+                               match=re.escape(f"pivot {n - 1} ") + ".*"
+                               + re.escape(f"= {PIVOT_RTOL * M:.3e}")):
+                lu_factor(A, shift=s)
+        else:
+            assert lu_factor(A, shift=s).n == n
 
     def test_singular_banded_raises(self):
         # Rows 3 and 4 are equal.

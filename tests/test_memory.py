@@ -1,0 +1,60 @@
+"""Peak memory of the dense paths, in units of one n x n float64 array.
+
+A dense LU holds the one array LAPACK factors in place, a Newton solve
+widens its matrix afresh at each step and keeps no widened copy across
+steps, and the random generator draws its sparsity pattern in row blocks.
+NumPy reports its array buffers to ``tracemalloc``, so the traced peak
+covers every widened copy and temporary.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from avesolve.generators import GeneratorSpec, gen_random_sparse, gen_x0
+from avesolve.linalg import band_layout, lu_factor
+from avesolve.solvers import SolverConfig, run_solver
+
+N = 400
+SPEC = GeneratorSpec(family="random", n=N, sigma_min_target=3.5, seed=1)
+
+
+def peak_in_dense_arrays(fn) -> float:
+    """Traced peak allocation of ``fn()`` beyond what was live before it,
+    divided by the bytes of one N x N float64 array."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (8.0 * N * N)
+
+
+@pytest.fixture(scope="module")
+def problem():
+    p = gen_random_sparse(SPEC)
+    assert band_layout(p.A) is None
+    return p
+
+
+@pytest.mark.parametrize("storage", ["csr", "c-order-dense"])
+def test_lu_factor_holds_one_dense_array(problem, storage):
+    A = problem.A if storage == "csr" else np.ascontiguousarray(problem.A.toarray())
+    assert peak_in_dense_arrays(lambda: lu_factor(A)) <= 1.5
+
+
+def test_newton_keeps_no_widened_copy(problem):
+    x0 = gen_x0(N, seed=0)
+    reports = []
+    peak = peak_in_dense_arrays(
+        lambda: reports.append(run_solver("newton", problem, SolverConfig(), x0=x0))
+    )
+    assert reports[0].iterations >= 2
+    assert peak <= 1.5
+
+
+def test_random_generator_draws_no_dense_pattern():
+    assert peak_in_dense_arrays(lambda: gen_random_sparse(SPEC)) <= 2.0

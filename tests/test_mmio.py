@@ -123,6 +123,8 @@ class TestMatrixErrors:
             # 4 of the 6 lower-triangle entries of a 3 x 3 symmetric matrix
             ("%%MatrixMarket matrix array real symmetric\n3 3\n" + "1.0\n" * 4,
              r"short\.mtx:2: declared 6 entries but found 4"),
+            ("%%MatrixMarket matrix array real general\n2 1\n\n \t\n",
+             r"short\.mtx:2: declared 2 entries but found 0"),
         ]:
             path.write_text(text)
             with pytest.raises(FileFormatError, match=match):
@@ -198,6 +200,11 @@ class TestMatrixErrors:
                         "  .5\n5.\r\n-1E+02\t\n\nInfinity\n-inf\nnan")
         B = read_matrix_market(path)
         npt.assert_array_equal(B, [[0.5, np.inf], [5.0, -np.inf], [-100.0, np.nan]])
+
+    def test_empty_array_with_blank_body(self, tmp_path):
+        path = tmp_path / "none.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n0 0\n\n  \n")
+        assert read_matrix_market(path).shape == (0, 0)
 
     def test_missing_size_line(self, tmp_path):
         path = tmp_path / "empty.mtx"

@@ -20,7 +20,6 @@ from avesolve.linalg import (
     SingularMatrixError,
     band_layout,
     lu_factor,
-    lu_operand,
     lu_solve,
     norm2,
 )
@@ -256,6 +255,19 @@ class TestDrsInexact:
         cfg = SolverConfig(alpha_mode="theoretical", mu=1e12, inner_max_iter=1)
         rep = run_solver("inexact-drs", p, cfg, x0=gen_x0(5, seed=10))
         assert rep.status is SolveStatus.INNER_SOLVER_STALLED
+
+    def test_stalled_step_counts_its_inner_iterations(self):
+        # The step from x^0 spends all INNER_RETRY_LIMIT + 1 attempts, one
+        # LSQR iteration each, and produces no iterate; the total keeps
+        # them although the history cannot.
+        p = gen_random_sparse(
+            GeneratorSpec(family="random", n=20, sigma_min_target=1.0, margin=0.0, seed=0)
+        )
+        cfg = SolverConfig(alpha_mode="theoretical", mu=1e12, inner_max_iter=1)
+        rep = run_solver("inexact-drs", p, cfg, seed=0)
+        assert rep.status is SolveStatus.INNER_SOLVER_STALLED
+        assert rep.inner_iteration_history == [0]
+        assert rep.inner_iteration_total == solvers.INNER_RETRY_LIMIT + 1
 
     def test_roundoff_floor_accepts_machine_exact_candidate(self):
         # A target far below the roundoff scale of the system and a check
@@ -573,7 +585,7 @@ class TestNewton:
         assert rep.final_residual_norm > SolverConfig().epsilon
         s = np.sign(xs[-1])
         npt.assert_array_equal(s, np.sign(xs[-2]))
-        npt.assert_array_equal(lu_solve(lu_factor(lu_operand(p.A), shift=s), p.b), xs[-1])
+        npt.assert_array_equal(lu_solve(lu_factor(p.A, shift=s), p.b), xs[-1])
 
     def test_inexact_stagnates_below_roundoff_floor(self):
         # epsilon far below the roundoff floor of the system: once the run of
