@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import AveProblem
 from .generators import gen_x0
-from .solvers import SolveStatus, SolverConfig, run_solver
+from .solvers import SolveStatus, SolverConfig, clear_factorization, run_solver
 
 __all__ = [
     "IncompleteGridError",
@@ -126,7 +126,10 @@ def run_bench(
     position, shared by all solvers on that problem so the comparison is
     fair.  ``mean_time`` averages the reports' wall time over all repeats;
     iteration count and status come from the first run (repeats are
-    identical apart from timing).
+    identical apart from timing).  Every run starts with the factorization
+    slot empty (:func:`.solvers.clear_factorization`), so each time
+    includes that run's own factorization of ``A``, whichever solver ran
+    before it.
     """
     if repeats < 1:
         raise ValueError(f"run_bench: repeats must be >= 1, got {repeats}")
@@ -138,7 +141,10 @@ def run_bench(
     for index, (pid, problem) in enumerate(problems.items()):
         x0 = gen_x0(problem.n, _x0_seed(seed, index))
         for sid in solvers:
-            reports = [run_solver(sid, problem, cfg, x0=x0) for _ in range(repeats)]
+            reports = []
+            for _ in range(repeats):
+                clear_factorization()
+                reports.append(run_solver(sid, problem, cfg, x0=x0))
             records.append(
                 BenchRecord(
                     problem_id=pid,

@@ -23,7 +23,7 @@ import sys
 from dataclasses import fields
 
 from . import bench as bench_mod
-from .core import GMatrix, check_solvability
+from .core import BANACH_NU, GMatrix, check_solvability
 from .generators import (
     FAMILIES,
     NOSOL1D,
@@ -149,7 +149,7 @@ def _cmd_check(args) -> int:
     print(f"inv_norm:     {rep.inv_norm:.10g}")
     print(f"regime:       {rep.regime.value}")
     if rep.banach_nu is None:
-        print("banach_nu:    none found on the grid")
+        print(f"banach_nu:    none proven at nu = {BANACH_NU:g}")
     else:
         print(f"banach_nu:    {rep.banach_nu:.2f}")
     return EXIT_OK

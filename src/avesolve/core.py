@@ -43,15 +43,14 @@ __all__ = [
     "Regime",
     "SolvabilityReport",
     "check_solvability",
-    "BANACH_NU_GRID",
 ]
 
 # Half-width of the band around sigma_min = 1 reported as the boundary regime.
 BOUNDARY_TOL = 1e-8
 
-# Candidate contraction parameters for the Banach certificate.  A value
-# passes only if the first one does (see ``_banach_witness``).
-BANACH_NU_GRID = np.round(np.arange(1, 100) * 0.01, 2)
+# The one contraction parameter the Banach certificate tries: any larger
+# nu passes only if this one does (see ``_banach_witness``).
+BANACH_NU = 0.01
 
 
 # Accepted type and its description for each numeric field annotation that
@@ -131,7 +130,10 @@ class AveProblem:
     ``known_solution`` an optional reference solution (checked on
     construction so stored problems cannot drift from their certificate).
     All three are copied, so later edits of the caller's arrays do not
-    reach the problem.
+    reach the problem.  The copy of ``A`` is read-only (for CSR: ``data``,
+    ``indices`` and ``indptr``), so an in-place edit raises and a solver
+    may keep the factorization of ``A`` for later solves; give the problem
+    a new ``A`` by assigning ``p.A``.
     """
 
     A: object
@@ -144,12 +146,14 @@ class AveProblem:
             M.sum_duplicates()
             M.sort_indices()
             self.A = M
-            if not np.all(np.isfinite(M.data)):
-                raise ValueError("AveProblem: A has non-finite entries")
+            arrays = (M.data, M.indices, M.indptr)
         else:
             self.A = np.array(self.A, dtype=np.float64, order="F", copy=True)
-            if not np.all(np.isfinite(self.A)):
-                raise ValueError("AveProblem: A has non-finite entries")
+            arrays = (self.A,)
+        if not np.all(np.isfinite(arrays[0])):
+            raise ValueError("AveProblem: A has non-finite entries")
+        for a in arrays:
+            a.flags.writeable = False
         if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1] or self.A.shape[0] == 0:
             raise ValueError(f"AveProblem: A must be square and nonempty, got shape {self.A.shape}")
         self.b = np.array(self.b, dtype=np.float64).reshape(-1)
@@ -255,17 +259,18 @@ class SolvabilityReport:
 
 
 def _banach_witness(A, smax_lo: float, smax_hi: float) -> float | None:
-    """``BANACH_NU_GRID[0]`` when ``||I - nu A|| < 1 - nu`` is proven there,
-    else ``None``.
+    """``BANACH_NU`` when ``||I - nu A|| < 1 - nu`` is proven there, else
+    ``None``.
 
     ``phi(nu) = ||I - nu A|| - (1 - nu)`` is convex with ``phi(0) = 0``, so
-    ``phi(nu) / nu`` is nondecreasing: if any grid value passes, so does
-    every smaller one.  ``||I - nu A|| >= nu ||A|| - 1`` rejects without a
-    second bound.  Forming ``I - nu A`` rounds entry ``(i, j)`` by at most
+    ``phi(nu) / nu`` is nondecreasing: if any ``nu`` passes, so does every
+    smaller one, so no larger ``nu`` passes where ``BANACH_NU`` fails.
+    ``||I - nu A|| >= nu ||A|| - 1`` rejects without a second bound.
+    Forming ``I - nu A`` rounds entry ``(i, j)`` by at most
     ``eps (delta_ij + nu |a_ij|)``, which is at most
     ``eps sqrt(n) (1 + nu ||A||)`` in 2-norm, added to the bound.
     """
-    nu = float(BANACH_NU_GRID[0])
+    nu = BANACH_NU
     if nu * smax_lo - 1.0 >= 1.0 - nu:
         return None
     n = A.shape[0]
@@ -288,10 +293,9 @@ def check_solvability(p: AveProblem) -> SolvabilityReport:
     no certificate, which includes a singular ``A`` and an interval too wide
     to decide.  Each reported number sits on its safe side: ``sigma_min``
     is the lower bound, ``norm_A`` the upper bound and ``inv_norm`` is
-    ``1 / sigma_min`` (``inf`` at 0).  ``banach_nu`` is the first value of
-    ``BANACH_NU_GRID`` when ``||I - nu A|| < 1 - nu`` is proven for it,
-    which happens exactly when it can be proven for any grid value.  Never
-    raises.
+    ``1 / sigma_min`` (``inf`` at 0).  ``banach_nu`` is ``BANACH_NU``
+    when ``||I - nu A|| < 1 - nu`` is proven for it; no larger ``nu`` can
+    pass where it fails.  Never raises.
     """
     smin_lo, smin_hi, smax_lo, smax_hi = singular_value_bounds(p.A)
     if smin_lo > 1.0 + BOUNDARY_TOL:

@@ -61,6 +61,10 @@ PIVOT_RTOL = 1e-14
 
 EPS = float(np.finfo(np.float64).eps)
 
+# Factorizations lu_factor has started in this process, failed ones
+# included; SolveReport.factorizations is its increase over one run.
+factorization_count = 0
+
 
 class SingularMatrixError(Exception):
     """LU factorization met a pivot indistinguishable from zero."""
@@ -168,10 +172,12 @@ def lu_factor(A, shift: np.ndarray | None = None) -> LuFactors:
     below ``PIVOT_RTOL`` times the largest entry magnitude of the factored
     matrix.
     """
+    global factorization_count
     shape = np.shape(A)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"lu_factor: matrix must be square, got shape {shape}")
     n = shape[0]
+    factorization_count += 1
     if is_sparse(A):
         A = _canonical_csr(A)
     band = band_layout(A)

@@ -6,7 +6,8 @@ behind one report type:
 * ``drs``: relaxed splitting step
   ``x^{k+1} = x^k - (gamma/2) rho(x^k) A^{-1} G^{-1} e(x^k)`` with
   ``e(x) = A x - |x| - b``; the linear solve uses one LU factorization of
-  ``A`` amortized over all iterations.
+  ``A`` amortized over all iterations, and over later solves of the same
+  problem (see :func:`_factor`).
 * ``inexact-drs``: same step, but ``x^{k+1}`` only has to satisfy
   ``||Theta_k(x^{k+1})|| <= alpha_k ||e(x^k)||`` with ``Theta_k`` the affine
   subproblem map; the subproblem is solved matrix-free by warm-started LSQR
@@ -38,12 +39,18 @@ batch drivers can keep going: a singular linear system ends the run as
 undefined as ``ThetaUndefined`` at iteration 0, and an inexact run whose
 LSQR inner solve cannot meet its bound within its retries as
 ``InnerSolverStalled``, with the history up to that step kept.
+
+Every LU factorization of ``A`` or ``A - diag(s)`` goes through
+:func:`_factor`, which keeps the last one built in a single process-wide
+slot: ``drs``, ``sor-like`` and ``fixed-point-inverse`` runs on one
+problem factor ``A`` once between them.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
@@ -52,8 +59,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from . import linalg
 from .core import AveProblem, GMatrix, check_number_fields, residual, rho, theta_k
 from .linalg import (
+    LuFactors,
     SingularMatrixError,
     lu_factor,
     lu_solve,
@@ -72,6 +81,7 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "run_solver",
+    "clear_factorization",
     "write_report_trace",
 ]
 
@@ -187,9 +197,14 @@ class SolveReport:
     equals the sum of the history, except after ``INNER_SOLVER_STALLED``:
     the iterations of the step that stalled produced no iterate, so they
     are in the total alone.
+    ``factorizations`` counts the LU factorizations the run computed,
+    those of a derived ``theta``'s norm estimates included; a factorization
+    reused from an earlier run on the same problem counts 0.
     ``wall_time`` covers the whole run, set-up included: factorizations,
     the norm estimates of a derived ``theta``, and the method's option
-    checks.
+    checks.  A reused factorization costs nothing, so a run that follows
+    another LU-based run on the same problem can take less time than the
+    same run cold.
     """
 
     status: SolveStatus
@@ -199,7 +214,56 @@ class SolveReport:
     iterate_norm_history: list[float]
     inner_iteration_history: list[int]
     inner_iteration_total: int
+    factorizations: int
     wall_time: float
+
+
+# The last LU factorization built: (weak reference to the A it factors,
+# bytes of its shift or None, LuFactors), or None.  A weak reference, so
+# the slot keeps no problem alive; one slot, so it holds one factorization.
+_slot: tuple | None = None
+
+
+def _read_only(A) -> bool:
+    """Whether no in-place edit can change ``A``: a dense array or CSR
+    matrix whose arrays are read-only, as ``AveProblem`` leaves them."""
+    if isinstance(A, np.ndarray):
+        arrays = (A,)
+    elif sp.issparse(A) and A.format == "csr":
+        arrays = (A.data, A.indices, A.indptr)
+    else:
+        return False
+    return not any(a.flags.writeable for a in arrays)
+
+
+def _factor(p: AveProblem, shift: np.ndarray | None = None) -> LuFactors:
+    """LU factors of ``p.A - diag(shift)``, reused when the last call was
+    for the same ``A`` object and a bitwise equal shift.
+
+    ``AveProblem`` makes ``A`` read-only, and a reassigned ``p.A`` is a new
+    object that is kept only if it is read-only too, so reused factors are
+    never stale; they are the very ``lu_factor`` output a fresh call gives.
+    Any other call empties the slot before it factors, so the old factors
+    are freed before the new ones are allocated.
+    """
+    global _slot
+    key = None if shift is None else shift.tobytes()
+    held, _slot = _slot, None
+    if held is not None and held[0]() is p.A and held[1] == key:
+        _slot = held
+        return held[2]
+    # Otherwise this local would keep the old factors alive while lu_factor runs.
+    held = None
+    factors = lu_factor(p.A, shift=shift)
+    if _read_only(p.A):
+        _slot = (weakref.ref(p.A), key, factors)
+    return factors
+
+
+def clear_factorization() -> None:
+    """Empty the factorization slot, so the next solve factors afresh."""
+    global _slot
+    _slot = None
 
 
 def _drive(
@@ -239,6 +303,7 @@ def _drive(
 
     k = 0
     stalled_inner = 0
+    factorizations_before = linalg.factorization_count
     try:
         step = make_step(p, cfg)
         while True:
@@ -273,13 +338,14 @@ def _drive(
         iterate_norm_history=xnorm_hist,
         inner_iteration_history=inner_hist,
         inner_iteration_total=sum(inner_hist) + stalled_inner,
+        factorizations=linalg.factorization_count - factorizations_before,
         wall_time=time.perf_counter() - t0,
     )
 
 
 def _drs_exact(p: AveProblem, cfg: SolverConfig):
     """Relaxed splitting iteration with exact linear solves."""
-    factors = lu_factor(p.A)
+    factors = _factor(p)
 
     def step(x, k, e, en):
         # rho is identically 1 under the identity metric (e != 0 here).
@@ -516,12 +582,15 @@ def _drs_inexact(p: AveProblem, cfg: SolverConfig):
 def _newton_exact(p: AveProblem, cfg: SolverConfig):
     """Generalized Newton iteration ``[A - diag(sign(x^k))] x^{k+1} = b``.
 
-    Each step factors ``p.A`` afresh.  Banded sparse ``A`` is refactored
-    in band storage, O(n bandwidth) per step; any other ``A`` is written
-    into the one dense array that step's LU overwrites, so no second
-    n x n copy outlives a step.  An unconverged iterate with the sign
+    Each step factors ``A - diag(sign(x^k))`` through :func:`_factor`,
+    which drops the previous step's factors first.  Banded sparse ``A`` is
+    refactored in band storage, O(n bandwidth) per step; any other ``A`` is
+    written into the one dense array that step's LU overwrites, so no
+    second n x n copy is ever held.  An unconverged iterate with the sign
     pattern of the previous one ends the run as ``STAGNATED``: the next
-    step would solve the same system and return it bit for bit.
+    step would solve the same system and return it bit for bit.  So every
+    step of a run computes one factorization, except that a first step
+    can reuse the last one of an earlier run on the same problem.
     """
     prev = None
 
@@ -531,7 +600,7 @@ def _newton_exact(p: AveProblem, cfg: SolverConfig):
         if prev is not None and np.array_equal(s, prev):
             raise _Stop(SolveStatus.STAGNATED)
         prev = s
-        return lu_solve(lu_factor(p.A, shift=s), p.b), 0
+        return lu_solve(_factor(p, s), p.b), 0
 
     return step
 
@@ -605,7 +674,7 @@ def _newton_inexact(p: AveProblem, cfg: SolverConfig):
 
 def _sor_like(p: AveProblem, cfg: SolverConfig):
     """Two-sequence relaxation iteration from ``y^0 = x^0``."""
-    factors = lu_factor(p.A)
+    factors = _factor(p)
     omega = cfg.omega
     y = None
 

@@ -19,8 +19,10 @@ from avesolve.bench import (
     write_bench_manifest,
     write_grid_outputs,
 )
+from avesolve import solvers
 from avesolve.core import AveProblem
 from avesolve.generators import GeneratorSpec, gen_random_sparse
+from avesolve.linalg import lu_factor
 from avesolve.solvers import SolveStatus
 
 
@@ -287,6 +289,18 @@ class TestRunBench:
         assert by_pid["bad"].status is SolveStatus.THETA_UNDEFINED
         assert by_pid["bad"].iterations == 0
         assert by_pid["good"].status is SolveStatus.CONVERGED
+
+    def test_every_run_pays_its_own_factorization(self, monkeypatch):
+        # Without emptying the slot, only the first drs run would factor.
+        calls = []
+
+        def counting_lu_factor(A, shift=None):
+            calls.append(shift)
+            return lu_factor(A, shift=shift)
+
+        monkeypatch.setattr(solvers, "lu_factor", counting_lu_factor)
+        run_bench(problem_set(1), ["drs", "sor-like"], bench_config(), repeats=2, seed=5)
+        assert calls == [None] * 4
 
     def test_default_cutoff_is_fifty(self):
         assert bench_config().max_iter == 50

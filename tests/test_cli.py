@@ -226,7 +226,9 @@ class TestCheck:
             tmp_path, "bd", np.array([[1.0, 2.0], [-2.0 / 3.0, 1.0]]), np.zeros(2)
         )
         assert main(["check", "--problem", str(bundle)]) == 0
-        assert "BoundaryMonotone" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "BoundaryMonotone" in out
+        assert "banach_nu:    none proven at nu = 0.01\n" in out
 
     def test_empty_problem_is_input_error(self, tmp_path, capsys):
         bundle = tmp_path / "empty"

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import avesolve.core as core
 import avesolve.linalg as linalg
 from avesolve.core import (
-    BANACH_NU_GRID,
+    BANACH_NU,
     AveProblem,
     GMatrix,
     Regime,
@@ -23,6 +23,7 @@ from avesolve.core import (
 )
 from avesolve.generators import GeneratorSpec, gen_random_sparse, gen_tridiag8
 from avesolve.linalg import band_layout, norm2, singular_value_bounds
+from avesolve.solvers import clear_factorization, run_solver
 
 
 def random_problem(seed, n=10, scale=3.0):
@@ -260,6 +261,61 @@ class TestProblemValidation:
         npt.assert_array_equal(p.known_solution, [1.0, 0.5])
 
 
+def final_iterate(p, x0):
+    """The report of a ``drs`` run from ``x0`` and its last iterate."""
+    seen = []
+    rep = run_solver("drs", p, x0=x0, callback=lambda k, x: seen.append(x))
+    return rep, seen[-1]
+
+
+class TestReadOnlyMatrix:
+    """A solver keeps the factorization of a problem's ``A`` between
+    solves, so ``A`` must not change under it."""
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_in_place_edit_raises(self, storage):
+        p, _ = random_problem(0, n=5)
+        if storage == "csr":
+            p = AveProblem(sp.csr_matrix(p.A), p.b)
+            arrays = (p.A.data, p.A.indices, p.A.indptr)
+        else:
+            arrays = (p.A,)
+        with pytest.raises(ValueError, match="read-only"):
+            p.A[0, 0] = 9.0
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[1] = a[0]
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_reassigned_matrix_is_factored_afresh(self, storage):
+        p, rng = random_problem(1, n=8)
+        x0 = rng.uniform(-10.0, 10.0, 8)
+        run_solver("drs", p, x0=x0)
+        A = p.A + np.diag(rng.uniform(0.5, 1.0, 8))
+        # A read-only matrix, so only its identity tells it from the old A.
+        p.A = AveProblem(sp.csr_matrix(A) if storage == "csr" else A, p.b).A
+        rep, x = final_iterate(p, x0)
+        assert run_solver("drs", p, x0=x0).factorizations == 0
+        clear_factorization()
+        cold, x_cold = final_iterate(AveProblem(p.A, p.b), x0)
+        assert rep.factorizations == cold.factorizations == 1
+        assert rep.residual_history == cold.residual_history
+        npt.assert_array_equal(x, x_cold)
+
+    def test_writable_matrix_is_not_kept(self):
+        # A matrix assigned to p.A directly stays writable, so an in-place
+        # edit between two solves must reach the second one.
+        p, rng = random_problem(2, n=8)
+        x0 = rng.uniform(-10.0, 10.0, 8)
+        p.A = np.array(p.A, order="F")
+        run_solver("drs", p, x0=x0)
+        p.A[0, 1] += 0.5
+        rep, x = final_iterate(p, x0)
+        cold, x_cold = final_iterate(AveProblem(p.A, p.b), x0)
+        assert rep.factorizations == 1
+        npt.assert_array_equal(x, x_cold)
+
+
 class TestGMatrix:
     def test_identity_flags(self):
         G = GMatrix.identity()
@@ -333,7 +389,7 @@ class TestSolvability:
             tracemalloc.stop()
         assert peak < 1000 * n
         assert rep.regime is Regime.STRICTLY_MONOTONE
-        assert rep.banach_nu == BANACH_NU_GRID[0] == 0.01
+        assert rep.banach_nu == BANACH_NU == 0.01
         c = np.cos(np.pi / (n + 1))
         assert rep.sigma_min <= 8.0 - 2.0 * c
         assert rep.norm_A >= 8.0 + 2.0 * c
@@ -368,13 +424,18 @@ class TestSolvability:
             check_solvability(p)
 
 
+# nu = 0.01, 0.02, ..., 0.99: the scan that the one-point witness test
+# replaces by the convexity argument of ``core._banach_witness``.
+SCAN_GRID = np.round(np.arange(1, 100) * 0.01, 2)
+
+
 def exact_banach_scan(A):
     """``(first grid nu with ||I - nu A|| < 1 - nu, smallest |margin|)``
-    from numpy's SVD over the whole ``BANACH_NU_GRID``."""
+    from numpy's SVD over the whole ``SCAN_GRID``."""
     n = A.shape[0]
     margins = [np.linalg.svd(np.eye(n) - nu * A, compute_uv=False)[0] - (1.0 - nu)
-               for nu in BANACH_NU_GRID]
-    passing = [nu for nu, m in zip(BANACH_NU_GRID, margins) if m < 0.0]
+               for nu in SCAN_GRID]
+    passing = [nu for nu, m in zip(SCAN_GRID, margins) if m < 0.0]
     return (float(passing[0]) if passing else None), min(abs(m) for m in margins)
 
 

@@ -2,9 +2,10 @@
 
 A dense LU holds the one array LAPACK factors in place, a Newton solve
 widens its matrix afresh at each step and keeps no widened copy across
-steps, and the random generator draws its sparsity pattern in row blocks.
-NumPy reports its array buffers to ``tracemalloc``, so the traced peak
-covers every widened copy and temporary.
+steps, the factorization kept between solves is the only one held, and
+the random generator draws its sparsity pattern in row blocks.  NumPy
+reports its array buffers to ``tracemalloc``, so the traced peak covers
+every widened copy and temporary.
 """
 
 import tracemalloc
@@ -14,23 +15,27 @@ import pytest
 
 from avesolve.generators import GeneratorSpec, gen_random_sparse, gen_x0
 from avesolve.linalg import band_layout, lu_factor
-from avesolve.solvers import SolverConfig, run_solver
+from avesolve.solvers import SolverConfig, clear_factorization, run_solver
 
 N = 400
 SPEC = GeneratorSpec(family="random", n=N, sigma_min_target=3.5, seed=1)
 
 
-def peak_in_dense_arrays(fn) -> float:
-    """Traced peak allocation of ``fn()`` beyond what was live before it,
-    divided by the bytes of one N x N float64 array."""
+def traced_dense_arrays(fn) -> tuple[float, float]:
+    """Traced allocation of ``fn()`` beyond what was live before it, at its
+    peak and still live at the end, in bytes of one N x N float64 array."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         fn()
-        peak = tracemalloc.get_traced_memory()[1]
+        live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return (peak - base) / (8.0 * N * N)
+    return (peak - base) / (8.0 * N * N), (live - base) / (8.0 * N * N)
+
+
+def peak_in_dense_arrays(fn) -> float:
+    return traced_dense_arrays(fn)[0]
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +59,23 @@ def test_newton_keeps_no_widened_copy(problem):
     )
     assert reports[0].iterations >= 2
     assert peak <= 1.5
+
+
+def test_kept_factorization_is_the_only_one_held(problem):
+    # drs factors A, newton replaces it once per step, and the last drs
+    # factors A again: each new factorization replaces the kept one.
+    x0 = gen_x0(N, seed=0)
+    clear_factorization()
+    reports = []
+    peak, live = traced_dense_arrays(lambda: reports.extend(
+        run_solver(method, problem, SolverConfig(), x0=x0)
+        for method in ("drs", "newton", "drs")
+    ))
+    assert [r.factorizations for r in reports] == [1, reports[1].iterations, 1]
+    assert reports[1].iterations >= 2
+    assert peak <= 1.5
+    # The kept factors: one n x n array, its pivots and the shift's bytes.
+    assert live < 1.1
 
 
 def test_random_generator_draws_no_dense_pattern():

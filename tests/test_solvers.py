@@ -32,6 +32,7 @@ from avesolve.solvers import (
     SolveStatus,
     SolverConfig,
     _heuristic_alpha,
+    clear_factorization,
     resolve_newton_theta,
     run_solver,
     write_report_trace,
@@ -764,6 +765,50 @@ class TestRunSolver:
         rep = run_solver(method, p, cfg, x0=p.known_solution)
         assert rep.status is SolveStatus.CONVERGED
         assert rep.iterations == 0
+
+
+class TestFactorizations:
+    """``SolveReport.factorizations`` on runs whose LU count is known by
+    hand; a fresh problem's ``A`` is never in the factorization slot."""
+
+    def test_drs_factors_once_then_reuses(self):
+        p = gen_tridiag8(4)
+        first = run_solver("drs", p, x0=np.zeros(4))
+        again = run_solver("drs", p, x0=np.zeros(4))
+        assert (first.factorizations, again.factorizations) == (1, 0)
+        assert again.residual_history == first.residual_history
+
+    def test_sor_like_after_drs_reuses(self):
+        p = gen_tridiag8(4)
+        run_solver("drs", p, x0=np.zeros(4))
+        assert run_solver("sor-like", p, x0=np.zeros(4)).factorizations == 0
+
+    def test_cleared_slot_factors_again(self):
+        p = gen_tridiag8(4)
+        run_solver("drs", p, x0=np.zeros(4))
+        clear_factorization()
+        assert run_solver("sor-like", p, x0=np.zeros(4)).factorizations == 1
+
+    def test_newton_factors_every_step(self):
+        p = small_random_problem(10, n=60, target=3.2)
+        rep = run_solver("newton", p, SolverConfig(max_iter=50), seed=11)
+        assert rep.status is SolveStatus.CONVERGED and rep.iterations >= 2
+        assert rep.factorizations == rep.iterations
+
+    @pytest.mark.parametrize("method, cfg", [
+        ("inexact-drs", SolverConfig()),
+        ("fixed-point", SolverConfig(max_iter=5)),
+        ("inexact-newton", SolverConfig(theta=0.1)),
+    ])
+    def test_lu_free_methods_factor_nothing(self, method, cfg):
+        p = gen_tridiag8(4)
+        assert run_solver(method, p, cfg, x0=np.zeros(4)).factorizations == 0
+
+    def test_derived_theta_counts_its_estimate(self):
+        # sigma_min_estimate factors A once; the steps use LSQR.
+        rep = run_solver("inexact-newton", gen_tridiag8(4), x0=np.zeros(4))
+        assert rep.status is SolveStatus.CONVERGED
+        assert rep.factorizations == 1
 
 
 def test_write_report_trace_roundtrip(tmp_path):
