@@ -17,6 +17,9 @@ for a contraction witness ``nu`` with ``||I - nu A|| < 1 - nu``, which
 certifies unique solvability through the Banach fixed-point theorem even for
 some matrices with smallest singular value below 1.  Both answers rest on
 guaranteed bounds, so a certificate is never issued on an estimate's word.
+``AveProblem`` makes its ``A`` read-only, so
+:func:`.linalg.singular_value_bounds` keeps the interval of a problem's
+``A`` and every later check of that problem reuses it.
 """
 
 from __future__ import annotations
@@ -130,10 +133,12 @@ class AveProblem:
     ``known_solution`` an optional reference solution (checked on
     construction so stored problems cannot drift from their certificate).
     All three are copied, so later edits of the caller's arrays do not
-    reach the problem.  The copy of ``A`` is read-only (for CSR: ``data``,
-    ``indices`` and ``indptr``), so an in-place edit raises and a solver
-    may keep the factorization of ``A`` for later solves; give the problem
-    a new ``A`` by assigning ``p.A``.
+    reach the problem.  The copy of ``A`` (for CSR: ``data``, ``indices``
+    and ``indptr``) is a read-only view of a private read-only array, so an
+    in-place edit raises, NumPy refuses to make the view writable again,
+    and the factorization and spectral interval of ``A`` may be kept for
+    later solves and checks; give the problem a new ``A`` by assigning
+    ``p.A``.
     """
 
     A: object
@@ -146,14 +151,21 @@ class AveProblem:
             M.sum_duplicates()
             M.sort_indices()
             self.A = M
-            arrays = (M.data, M.indices, M.indptr)
+            # scipy can leave views of a larger buffer here.
+            owners = [a if a.base is None else a.copy() for a in (M.data, M.indices, M.indptr)]
         else:
-            self.A = np.array(self.A, dtype=np.float64, order="F", copy=True)
-            arrays = (self.A,)
-        if not np.all(np.isfinite(arrays[0])):
+            owners = [np.array(self.A, dtype=np.float64, order="F", copy=True)]
+        if not np.all(np.isfinite(owners[0])):
             raise ValueError("AveProblem: A has non-finite entries")
-        for a in arrays:
+        # Each array is a view of a private read-only copy, which NumPy
+        # will not make writable again through the view.
+        for a in owners:
             a.flags.writeable = False
+        views = [a.view() for a in owners]
+        if is_sparse(self.A):
+            M.data, M.indices, M.indptr = views
+        else:
+            self.A = views[0]
         if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1] or self.A.shape[0] == 0:
             raise ValueError(f"AveProblem: A must be square and nonempty, got shape {self.A.shape}")
         self.b = np.array(self.b, dtype=np.float64).reshape(-1)

@@ -7,7 +7,7 @@ behind one report type:
   ``x^{k+1} = x^k - (gamma/2) rho(x^k) A^{-1} G^{-1} e(x^k)`` with
   ``e(x) = A x - |x| - b``; the linear solve uses one LU factorization of
   ``A`` amortized over all iterations, and over later solves of the same
-  problem (see :func:`_factor`).
+  problem (see :func:`.linalg.kept_lu_factor`).
 * ``inexact-drs``: same step, but ``x^{k+1}`` only has to satisfy
   ``||Theta_k(x^{k+1})|| <= alpha_k ||e(x^k)||`` with ``Theta_k`` the affine
   subproblem map; the subproblem is solved matrix-free by warm-started LSQR
@@ -40,17 +40,20 @@ undefined as ``ThetaUndefined`` at iteration 0, and an inexact run whose
 LSQR inner solve cannot meet its bound within its retries as
 ``InnerSolverStalled``, with the history up to that step kept.
 
-Every LU factorization of ``A`` or ``A - diag(s)`` goes through
-:func:`_factor`, which keeps the last one built in a single process-wide
-slot: ``drs``, ``sor-like`` and ``fixed-point-inverse`` runs on one
-problem factor ``A`` once between them.
+Every LU factorization of ``A`` or ``A - diag(s)``, the one behind a
+derived ``theta``'s ``sigma_min_estimate`` included, goes through
+:func:`.linalg.kept_lu_factor`, which keeps the last one built in a single
+process-wide slot: ``drs``, ``sor-like``, ``fixed-point-inverse`` and a
+derived-``theta`` ``inexact-newton`` run on one problem factor ``A`` once
+between them.  The theoretical ``alpha`` of ``inexact-drs`` reads
+:func:`.linalg.singular_value_bounds`, which computes the interval of a
+problem's ``A`` once.  :func:`clear_factorization` empties both memories.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
@@ -62,9 +65,9 @@ import scipy.sparse as sp
 from . import linalg
 from .core import AveProblem, GMatrix, check_number_fields, residual, rho, theta_k
 from .linalg import (
-    LuFactors,
     SingularMatrixError,
-    lu_factor,
+    clear_factorization,
+    kept_lu_factor,
     lu_solve,
     matrix_norm2_estimate,
     norm2,
@@ -218,54 +221,6 @@ class SolveReport:
     wall_time: float
 
 
-# The last LU factorization built: (weak reference to the A it factors,
-# bytes of its shift or None, LuFactors), or None.  A weak reference, so
-# the slot keeps no problem alive; one slot, so it holds one factorization.
-_slot: tuple | None = None
-
-
-def _read_only(A) -> bool:
-    """Whether no in-place edit can change ``A``: a dense array or CSR
-    matrix whose arrays are read-only, as ``AveProblem`` leaves them."""
-    if isinstance(A, np.ndarray):
-        arrays = (A,)
-    elif sp.issparse(A) and A.format == "csr":
-        arrays = (A.data, A.indices, A.indptr)
-    else:
-        return False
-    return not any(a.flags.writeable for a in arrays)
-
-
-def _factor(p: AveProblem, shift: np.ndarray | None = None) -> LuFactors:
-    """LU factors of ``p.A - diag(shift)``, reused when the last call was
-    for the same ``A`` object and a bitwise equal shift.
-
-    ``AveProblem`` makes ``A`` read-only, and a reassigned ``p.A`` is a new
-    object that is kept only if it is read-only too, so reused factors are
-    never stale; they are the very ``lu_factor`` output a fresh call gives.
-    Any other call empties the slot before it factors, so the old factors
-    are freed before the new ones are allocated.
-    """
-    global _slot
-    key = None if shift is None else shift.tobytes()
-    held, _slot = _slot, None
-    if held is not None and held[0]() is p.A and held[1] == key:
-        _slot = held
-        return held[2]
-    # Otherwise this local would keep the old factors alive while lu_factor runs.
-    held = None
-    factors = lu_factor(p.A, shift=shift)
-    if _read_only(p.A):
-        _slot = (weakref.ref(p.A), key, factors)
-    return factors
-
-
-def clear_factorization() -> None:
-    """Empty the factorization slot, so the next solve factors afresh."""
-    global _slot
-    _slot = None
-
-
 def _drive(
     p: AveProblem,
     cfg: SolverConfig,
@@ -345,7 +300,7 @@ def _drive(
 
 def _drs_exact(p: AveProblem, cfg: SolverConfig):
     """Relaxed splitting iteration with exact linear solves."""
-    factors = _factor(p)
+    factors = kept_lu_factor(p.A)
 
     def step(x, k, e, en):
         # rho is identically 1 under the identity metric (e != 0 here).
@@ -582,15 +537,16 @@ def _drs_inexact(p: AveProblem, cfg: SolverConfig):
 def _newton_exact(p: AveProblem, cfg: SolverConfig):
     """Generalized Newton iteration ``[A - diag(sign(x^k))] x^{k+1} = b``.
 
-    Each step factors ``A - diag(sign(x^k))`` through :func:`_factor`,
-    which drops the previous step's factors first.  Banded sparse ``A`` is
-    refactored in band storage, O(n bandwidth) per step; any other ``A`` is
-    written into the one dense array that step's LU overwrites, so no
-    second n x n copy is ever held.  An unconverged iterate with the sign
-    pattern of the previous one ends the run as ``STAGNATED``: the next
-    step would solve the same system and return it bit for bit.  So every
-    step of a run computes one factorization, except that a first step
-    can reuse the last one of an earlier run on the same problem.
+    Each step factors ``A - diag(sign(x^k))`` through
+    :func:`.linalg.kept_lu_factor`, which drops the previous step's factors
+    first.  Banded sparse ``A`` is refactored in band storage, O(n
+    bandwidth) per step; any other ``A`` is written into the one dense
+    array that step's LU overwrites, so no second n x n copy is ever held.
+    An unconverged iterate with the sign pattern of the previous one ends
+    the run as ``STAGNATED``: the next step would solve the same system
+    and return it bit for bit.  So every step of a run computes one
+    factorization, except that a first step can reuse the last one of an
+    earlier run on the same problem.
     """
     prev = None
 
@@ -600,7 +556,7 @@ def _newton_exact(p: AveProblem, cfg: SolverConfig):
         if prev is not None and np.array_equal(s, prev):
             raise _Stop(SolveStatus.STAGNATED)
         prev = s
-        return lu_solve(_factor(p, s), p.b), 0
+        return lu_solve(kept_lu_factor(p.A, s), p.b), 0
 
     return step
 
@@ -674,7 +630,7 @@ def _newton_inexact(p: AveProblem, cfg: SolverConfig):
 
 def _sor_like(p: AveProblem, cfg: SolverConfig):
     """Two-sequence relaxation iteration from ``y^0 = x^0``."""
-    factors = _factor(p)
+    factors = kept_lu_factor(p.A)
     omega = cfg.omega
     y = None
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from avesolve.bench import (
     BenchRecord,
@@ -19,10 +20,10 @@ from avesolve.bench import (
     write_bench_manifest,
     write_grid_outputs,
 )
-from avesolve import solvers
+from avesolve import linalg
 from avesolve.core import AveProblem
 from avesolve.generators import GeneratorSpec, gen_random_sparse
-from avesolve.linalg import lu_factor
+from avesolve.linalg import band_layout, lu_factor
 from avesolve.solvers import SolveStatus
 
 
@@ -298,9 +299,28 @@ class TestRunBench:
             calls.append(shift)
             return lu_factor(A, shift=shift)
 
-        monkeypatch.setattr(solvers, "lu_factor", counting_lu_factor)
-        run_bench(problem_set(1), ["drs", "sor-like"], bench_config(), repeats=2, seed=5)
+        # The generator factors too, so the problems are built first.
+        problems = problem_set(1)
+        monkeypatch.setattr(linalg, "lu_factor", counting_lu_factor)
+        run_bench(problems, ["drs", "sor-like"], bench_config(), repeats=2, seed=5)
         assert calls == [None] * 4
+
+    def test_every_run_pays_its_own_interval(self, monkeypatch):
+        # The theoretical alpha reads the interval of A, which a run on a
+        # non-banded matrix takes from one SVD unless the memo holds it.
+        problems = problem_set(1)
+        assert band_layout(problems["prob0"].A) is None
+        calls = []
+        svdvals = scipy.linalg.svdvals
+
+        def counting_svdvals(*args, **kwargs):
+            calls.append(1)
+            return svdvals(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "svdvals", counting_svdvals)
+        cfg = bench_config(alpha_mode="theoretical", mu=1.0, max_iter=2)
+        run_bench(problems, ["inexact-drs"], cfg, repeats=3, seed=5)
+        assert len(calls) == 3
 
     def test_default_cutoff_is_fifty(self):
         assert bench_config().max_iter == 50

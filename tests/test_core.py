@@ -1,8 +1,10 @@
+import gc
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +25,7 @@ from avesolve.core import (
 )
 from avesolve.generators import GeneratorSpec, gen_random_sparse, gen_tridiag8
 from avesolve.linalg import band_layout, norm2, singular_value_bounds
-from avesolve.solvers import clear_factorization, run_solver
+from avesolve.solvers import SolverConfig, clear_factorization, run_solver
 
 
 def random_problem(seed, n=10, scale=3.0):
@@ -314,6 +316,191 @@ class TestReadOnlyMatrix:
         cold, x_cold = final_iterate(AveProblem(p.A, p.b), x0)
         assert rep.factorizations == 1
         npt.assert_array_equal(x, x_cold)
+
+    @staticmethod
+    def read_only_view(kind, A):
+        """A matrix equal to ``A`` whose arrays are all read-only, and a
+        writable array over the memory that its values rest on."""
+        if kind == "dense-view":
+            owner = np.array(A, order="F")
+            M = owner.view()
+            M.flags.writeable = False
+            return M, owner
+        if kind == "csr-on-views":
+            C = sp.csr_matrix(A)
+            owners = (C.data.copy(), C.indices.copy(), C.indptr.copy())
+            M = sp.csr_matrix(tuple(a[:] for a in owners), shape=A.shape)
+            for a, owner in zip((M.data, M.indices, M.indptr), owners):
+                assert np.shares_memory(a, owner)
+                a.flags.writeable = False
+            return M, owners[0]
+        buf = bytearray(np.asfortranarray(A).tobytes(order="F"))
+        flat = np.frombuffer(buf)
+        flat.flags.writeable = False
+        return flat.reshape(A.shape, order="F"), np.frombuffer(buf)
+
+    @pytest.mark.parametrize("kind", ["dense-view", "csr-on-views", "bytearray"])
+    def test_read_only_view_of_writable_memory_is_not_kept(self, kind):
+        # Every array is read-only, yet an edit of the memory underneath
+        # reaches the matrix: neither its LU nor its interval may be kept.
+        p, rng = random_problem(3, n=8)
+        x0 = rng.uniform(-10.0, 10.0, 8)
+        p.A, memory = self.read_only_view(kind, p.A)
+        run_solver("drs", p, x0=x0)
+        before = check_solvability(p)
+        memory *= 2.0
+        rep, x = final_iterate(p, x0)
+        cold, x_cold = final_iterate(AveProblem(p.A, p.b), x0)
+        assert rep.factorizations == 1
+        npt.assert_array_equal(x, x_cold)
+        after = check_solvability(p)
+        assert after == check_solvability(AveProblem(p.A, p.b))
+        assert after.sigma_min > 1.9 * before.sigma_min
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_matrix_cannot_be_made_writable_again(self, storage):
+        # Each array is a view of a read-only copy, so NumPy refuses the
+        # flag flip that would let an edit reach a kept LU or interval.
+        p, _ = random_problem(0, n=5)
+        if storage == "csr":
+            p = AveProblem(sp.csr_matrix(p.A), p.b)
+            arrays = (p.A.data, p.A.indices, p.A.indptr)
+        else:
+            arrays = (p.A,)
+        for a in arrays:
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                a.flags.writeable = True
+
+    def test_flag_flip_of_an_assigned_matrix_misses(self):
+        # An array assigned to p.A that owns its memory can be made
+        # writable again; a hit must see that the matrix no longer is
+        # read-only.
+        p, rng = random_problem(9, n=8)
+        x0 = rng.uniform(-10.0, 10.0, 8)
+        p.A = np.array(p.A, order="F")
+        p.A.flags.writeable = False
+        assert run_solver("drs", p, x0=x0).factorizations == 1
+        before = check_solvability(p)
+        p.A.flags.writeable = True
+        p.A *= 2.0
+        rep, x = final_iterate(p, x0)
+        cold, x_cold = final_iterate(AveProblem(p.A, p.b), x0)
+        assert rep.factorizations == 1
+        npt.assert_array_equal(x, x_cold)
+        assert check_solvability(p).sigma_min > 1.9 * before.sigma_min
+
+    @pytest.mark.parametrize("writable", [True, False], ids=["writable", "read-only"])
+    def test_replaced_csr_arrays_miss(self, writable):
+        # A CSR matrix can be given new arrays while it stays the same
+        # object; neither its LU nor its interval may survive that.
+        p, rng = random_problem(8, n=8)
+        p = AveProblem(sp.csr_matrix(p.A), p.b)
+        x0 = rng.uniform(-10.0, 10.0, 8)
+        run_solver("drs", p, x0=x0)
+        before = check_solvability(p)
+        data = p.A.data * 2.0
+        data.flags.writeable = writable
+        p.A.data = data
+        rep, x = final_iterate(p, x0)
+        cold, x_cold = final_iterate(AveProblem(p.A, p.b), x0)
+        assert rep.factorizations == 1
+        npt.assert_array_equal(x, x_cold)
+        after = check_solvability(p)
+        assert after == check_solvability(AveProblem(p.A, p.b))
+        assert after.sigma_min > 1.9 * before.sigma_min
+
+    @pytest.mark.parametrize("convert", [sp.coo_matrix, sp.csc_matrix], ids=["coo", "csc"])
+    def test_converted_sparse_matrix_is_kept(self, convert):
+        # scipy's conversions can leave views; the problem's copy owns its
+        # arrays, so the factorization is still kept.
+        p, rng = random_problem(4, n=8)
+        p = AveProblem(convert(p.A), p.b)
+        x0 = rng.uniform(-10.0, 10.0, 8)
+        reports = [run_solver("drs", p, x0=x0) for _ in range(2)]
+        assert [r.factorizations for r in reports] == [1, 0]
+
+
+class TestKeptInterval:
+    """``check_solvability`` reads the interval of a problem's read-only
+    ``A`` from the memo of ``linalg.singular_value_bounds``."""
+
+    @staticmethod
+    def count_svdvals(monkeypatch) -> list:
+        calls = []
+        svdvals = scipy.linalg.svdvals
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svdvals(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "svdvals", counting)
+        return calls
+
+    def test_hit_returns_the_same_tuple_without_svd(self, monkeypatch):
+        p, _ = random_problem(5, n=12)
+        clear_factorization()
+        calls = self.count_svdvals(monkeypatch)
+        first = singular_value_bounds(p.A)
+        assert singular_value_bounds(p.A) is first
+        assert calls == [1]
+        assert check_solvability(p).sigma_min == first[0]
+
+    def test_reassigned_matrix_misses(self, monkeypatch):
+        p, _ = random_problem(6, n=12)
+        before = singular_value_bounds(p.A)
+        calls = self.count_svdvals(monkeypatch)
+        p.A = AveProblem(2.0 * p.A, p.b).A
+        after = singular_value_bounds(p.A)
+        assert calls == [1]
+        assert after[3] > 1.9 * before[3]
+
+    def test_writable_matrix_is_never_kept(self, monkeypatch):
+        p, _ = random_problem(7, n=12)
+        p.A = np.array(p.A, order="F")
+        calls = self.count_svdvals(monkeypatch)
+        before = singular_value_bounds(p.A)
+        assert singular_value_bounds(p.A) == before
+        assert calls == [1, 1]
+        p.A *= 2.0
+        assert singular_value_bounds(p.A)[3] > 1.9 * before[3]
+        assert check_solvability(p) == check_solvability(AveProblem(p.A, p.b))
+
+    def test_check_then_theoretical_alpha_share_one_svd(self, monkeypatch):
+        # Certifying a problem and then running inexact-drs with the
+        # theoretical alpha reads the interval of the same A twice.
+        p = gen_random_sparse(GeneratorSpec(family="random", n=40, sigma_min_target=1.5))
+        assert band_layout(p.A) is None
+        clear_factorization()
+        calls = self.count_svdvals(monkeypatch)
+        check_solvability(p)
+        cfg = SolverConfig(alpha_mode="theoretical", mu=1.0, max_iter=2)
+        run_solver("inexact-drs", p, cfg, seed=0)
+        assert calls == [1]
+
+    def test_no_entry_outlives_its_matrix(self):
+        clear_factorization()
+        for seed in range(200):
+            check_solvability(random_problem(seed, n=4)[0])
+        gc.collect()
+        assert linalg._bounds_memo == {}
+
+    @pytest.mark.parametrize("A", [
+        np.array([[1.0, 2.0], [-2.0 / 3.0, 1.0]]),
+        1.5 * np.eye(6),
+        np.diag([1.8, -2.0]),
+        0.5 * np.eye(4),
+        np.array([[1.0, 2.0], [2.0, 4.0]]),
+        gen_tridiag8(60).A,
+        sp.block_diag([np.array([[0.0, 3.0], [3.0, 0.0]])] * 3, format="csr"),
+        gen_random_sparse(GeneratorSpec(family="random", n=40, sigma_min_target=1.5)).A,
+    ], ids=["boundary", "banach", "indefinite", "below-one", "singular", "tridiag",
+            "zero-diagonal", "random"])
+    def test_kept_report_equals_writable_report(self, A):
+        p = AveProblem(A, np.zeros(A.shape[0]))
+        kept = [check_solvability(p) for _ in range(2)]
+        q = AveProblem(A, np.zeros(A.shape[0]))
+        q.A = q.A.copy() if sp.issparse(q.A) else np.array(q.A, order="F")
+        assert kept[0] == kept[1] == check_solvability(q)
 
 
 class TestGMatrix:

@@ -5,7 +5,8 @@ widens its matrix afresh at each step and keeps no widened copy across
 steps, the factorization kept between solves is the only one held, and
 the random generator draws its sparsity pattern in row blocks.  NumPy
 reports its array buffers to ``tracemalloc``, so the traced peak covers
-every widened copy and temporary.
+every widened copy and temporary.  A derived inexact-Newton theta's
+estimator reads the kept factorization rather than building its own.
 """
 
 import tracemalloc
@@ -76,6 +77,24 @@ def test_kept_factorization_is_the_only_one_held(problem):
     assert peak <= 1.5
     # The kept factors: one n x n array, its pivots and the shift's bytes.
     assert live < 1.1
+
+
+def test_derived_theta_reads_the_kept_factorization(problem):
+    # The sigma_min estimate behind a derived theta factors through the
+    # slot, so after drs it reuses drs's LU instead of building a second.
+    x0 = gen_x0(N, seed=0)
+    clear_factorization()
+    reports = []
+    peak = peak_in_dense_arrays(lambda: reports.extend(
+        run_solver(method, problem, SolverConfig(), x0=x0)
+        for method in ("drs", "inexact-newton")
+    ))
+    assert [r.factorizations for r in reports] == [1, 0]
+    assert peak <= 1.5
+    clear_factorization()
+    cold = run_solver("inexact-newton", problem, SolverConfig(), x0=x0)
+    assert cold.factorizations == 1
+    assert cold.residual_history == reports[1].residual_history
 
 
 def test_random_generator_draws_no_dense_pattern():
