@@ -17,27 +17,37 @@ for a contraction witness ``nu`` with ``||I - nu A|| < 1 - nu``, which
 certifies unique solvability through the Banach fixed-point theorem even for
 some matrices with smallest singular value below 1.  Both answers rest on
 guaranteed bounds, so a certificate is never issued on an estimate's word.
-``AveProblem`` makes its ``A`` read-only, so
-:func:`.linalg.singular_value_bounds` keeps the interval of a problem's
-``A`` and every later check of that problem reuses it.
+
+A problem's ``A`` never changes: ``AveProblem`` is frozen and holds a
+read-only copy.  So what depends on ``A`` alone is kept per problem, here
+beside it: :func:`kept_lu` keeps the last LU factorization built in one
+process-wide slot, and :func:`spectral_interval` keeps the singular-value
+interval of every live problem, so solves and checks of one problem
+factor its ``A`` and bound its spectrum once between them.
+:func:`clear_factorization` empties both.
 """
 
 from __future__ import annotations
 
 import functools
 import numbers
+import weakref
 from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import EPS, is_sparse, norm2, singular_value_bounds
+from . import linalg
+from .linalg import EPS, LuFactors, is_sparse, norm2, singular_value_bounds
 
 __all__ = [
     "ZeroResidualError",
     "GMatrix",
     "AveProblem",
+    "kept_lu",
+    "spectral_interval",
+    "clear_factorization",
     "residual",
     "glcp_maps",
     "residual_via_projection",
@@ -125,7 +135,7 @@ class GMatrix:
         return v if self.diag is None else v / self.diag
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AveProblem:
     """Instance data for ``A x - |x| - b = 0``.
 
@@ -135,10 +145,11 @@ class AveProblem:
     All three are copied, so later edits of the caller's arrays do not
     reach the problem.  The copy of ``A`` (for CSR: ``data``, ``indices``
     and ``indptr``) is a read-only view of a private read-only array, so an
-    in-place edit raises, NumPy refuses to make the view writable again,
-    and the factorization and spectral interval of ``A`` may be kept for
-    later solves and checks; give the problem a new ``A`` by assigning
-    ``p.A``.
+    in-place edit raises and NumPy refuses to make the view writable again.
+    The problem is frozen and compares by identity, so its factorization
+    and spectral interval are kept for later solves and checks
+    (:func:`kept_lu`, :func:`spectral_interval`).  A new matrix makes a new
+    problem; ``dataclasses.replace(p, A=...)`` builds one.
     """
 
     A: object
@@ -150,7 +161,7 @@ class AveProblem:
             M = sp.csr_matrix(self.A, copy=True)
             M.sum_duplicates()
             M.sort_indices()
-            self.A = M
+            object.__setattr__(self, "A", M)
             # scipy can leave views of a larger buffer here.
             owners = [a if a.base is None else a.copy() for a in (M.data, M.indices, M.indptr)]
         else:
@@ -165,10 +176,12 @@ class AveProblem:
         if is_sparse(self.A):
             M.data, M.indices, M.indptr = views
         else:
-            self.A = views[0]
+            object.__setattr__(self, "A", views[0])
+        # What kept_lu and spectral_interval may keep rests on these arrays.
+        object.__setattr__(self, "_arrays", tuple(views))
         if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1] or self.A.shape[0] == 0:
             raise ValueError(f"AveProblem: A must be square and nonempty, got shape {self.A.shape}")
-        self.b = np.array(self.b, dtype=np.float64).reshape(-1)
+        object.__setattr__(self, "b", np.array(self.b, dtype=np.float64).reshape(-1))
         if self.b.shape[0] != self.A.shape[0]:
             raise ValueError(
                 f"AveProblem: b has length {self.b.shape[0]}, expected {self.A.shape[0]}"
@@ -179,7 +192,7 @@ class AveProblem:
             xs = np.array(self.known_solution, dtype=np.float64).reshape(-1)
             if xs.shape[0] != self.A.shape[0]:
                 raise ValueError("AveProblem: known_solution has wrong length")
-            self.known_solution = xs
+            object.__setattr__(self, "known_solution", xs)
             res = norm2(residual(self, xs))
             if res > 1e-10 * (1.0 + norm2(self.b)):
                 raise ValueError(
@@ -190,6 +203,65 @@ class AveProblem:
     @property
     def n(self) -> int:
         return self.A.shape[0]
+
+
+# spectral_interval of each live problem.
+_intervals: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _intact(p: AveProblem) -> bool:
+    """Whether ``p.A`` still holds the read-only arrays the problem made
+    (a CSR matrix can be given new ``data``, ``indices`` or ``indptr``,
+    whose values nothing stops from changing)."""
+    A = p.A
+    arrays = (A.data, A.indices, A.indptr) if is_sparse(A) else (A,)
+    return all(a is own for a, own in zip(arrays, p._arrays))
+
+
+def kept_lu(p: AveProblem, shift: np.ndarray | None = None) -> LuFactors:
+    """:func:`.linalg.lu_factor` of ``p.A - diag(shift)``, reused when the
+    last call was for the same problem and a bitwise equal shift.
+
+    The factors sit in the one process-wide slot :data:`.linalg.lu_slot`
+    with a weak reference to ``p``, so the slot keeps no problem alive and
+    a hit returns the very factors the first call computed.  A miss
+    factors afresh, and ``lu_factor`` frees the old factors before it
+    allocates the new ones.  A problem whose ``A`` was given new arrays is
+    never kept.
+    """
+    key = None if shift is None else shift.tobytes()
+    slot = linalg.lu_slot
+    if slot is not None and slot[0]() is p and slot[1] == key and _intact(p):
+        return slot[2]
+    del slot  # so that lu_factor's drop of the slot frees the old factors
+    factors = linalg.lu_factor(p.A, shift=shift)
+    if _intact(p):
+        linalg.lu_slot = (weakref.ref(p), key, factors)
+    return factors
+
+
+def spectral_interval(p: AveProblem) -> tuple[float, float, float, float]:
+    """:func:`.linalg.singular_value_bounds` of ``p.A``, computed once per
+    problem.
+
+    The four bounds are kept until ``p`` is collected (or
+    :func:`clear_factorization`), and a later call for ``p`` returns the
+    same tuple.  A problem whose ``A`` was given new arrays is never kept.
+    """
+    if not _intact(p):
+        return singular_value_bounds(p.A)
+    bounds = _intervals.get(p)
+    if bounds is None:
+        bounds = _intervals[p] = singular_value_bounds(p.A)
+    return bounds
+
+
+def clear_factorization() -> None:
+    """Empty both memories: the factorization slot of :func:`kept_lu` and
+    the intervals of :func:`spectral_interval`, so the next call for any
+    problem computes afresh."""
+    linalg.lu_slot = None
+    _intervals.clear()
 
 
 def residual(p: AveProblem, x: np.ndarray) -> np.ndarray:
@@ -297,7 +369,8 @@ def _banach_witness(A, smax_lo: float, smax_hi: float) -> float | None:
 def check_solvability(p: AveProblem) -> SolvabilityReport:
     """Classify a problem by the smallest singular value of ``A`` and look
     for a Banach contraction witness, from the guaranteed intervals of
-    :func:`.linalg.singular_value_bounds`.
+    :func:`.linalg.singular_value_bounds` (that of ``A`` through
+    :func:`spectral_interval`).
 
     The regime is strictly monotone when the interval for ``sigma_min``
     lies above ``1 + BOUNDARY_TOL``, boundary monotone when it lies inside
@@ -309,7 +382,7 @@ def check_solvability(p: AveProblem) -> SolvabilityReport:
     when ``||I - nu A|| < 1 - nu`` is proven for it; no larger ``nu`` can
     pass where it fails.  Never raises.
     """
-    smin_lo, smin_hi, smax_lo, smax_hi = singular_value_bounds(p.A)
+    smin_lo, smin_hi, smax_lo, smax_hi = spectral_interval(p)
     if smin_lo > 1.0 + BOUNDARY_TOL:
         regime = Regime.STRICTLY_MONOTONE
     elif 1.0 - BOUNDARY_TOL <= smin_lo and smin_hi <= 1.0 + BOUNDARY_TOL:

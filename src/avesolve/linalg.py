@@ -19,20 +19,9 @@ It chooses its storage like the LU: densely stored matrices get LAPACK's
 singular values with a backward-error padding, band-stored ones O(nnz) norm
 and Gershgorin-type bounds.
 
-Two memories let the factorization and the interval of a matrix outlive
-the call that computed them, both keyed on the matrix object through a
-weak reference, so neither keeps a matrix alive.  :func:`kept_lu_factor`
-keeps the last LU factorization built in one process-wide slot; the
-solvers and :func:`sigma_min_estimate` factor through it, so runs on one
-problem factor its ``A`` once between them.  :func:`singular_value_bounds`
-keeps the bounds of every matrix it has seen, four floats each, and drops
-an entry when its matrix is garbage-collected; it pays only when the same
-matrix object is checked again in one process.  Only a read-only matrix is
-kept in either (every array behind it read-only down to the one that owns
-its memory, as ``AveProblem`` leaves its ``A``), and a hit checks that
-again and that the matrix still holds the same arrays, so no kept value
-can go stale, and a hit returns the very factors or tuple that the first
-call computed.  :func:`clear_factorization` empties both.
+:func:`lu_factor` empties :data:`lu_slot`, which holds the one
+factorization :func:`.core.kept_lu` keeps between solves, before it
+allocates, so no factorization is ever built beside a kept one.
 
 The spectral-norm and smallest-singular-value estimates feed only the
 derived inexact-Newton ``theta``, the rescaling of the random generator and
@@ -48,7 +37,6 @@ matrix has smallest singular value ``0.0``.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +52,6 @@ __all__ = [
     "is_sparse",
     "transposed",
     "lu_factor",
-    "kept_lu_factor",
-    "clear_factorization",
     "lu_solve",
     "norm2",
     "singular_value_bounds",
@@ -83,15 +69,10 @@ EPS = float(np.finfo(np.float64).eps)
 # included; SolveReport.factorizations is its increase over one run.
 factorization_count = 0
 
-# The last factorization kept_lu_factor built for a read-only matrix:
-# (_stamp of the matrix, bytes of its shift or None, LuFactors), or None.
-# One slot, so it holds one factorization at most.
-_lu_slot: tuple | None = None
-
-# singular_value_bounds of read-only matrices: id(A) -> (_stamp of A,
-# bounds).  The stamp's callback removes the entry when A is collected,
-# before its id can be reused.
-_bounds_memo: dict[int, tuple] = {}
+# The factorization core.kept_lu keeps between solves, or None; what it
+# holds and when it is reused are decided there.  One slot, so it holds
+# one factorization at most.
+lu_slot: tuple | None = None
 
 
 class SingularMatrixError(Exception):
@@ -200,12 +181,14 @@ def lu_factor(A, shift: np.ndarray | None = None) -> LuFactors:
     below ``PIVOT_RTOL`` times the largest entry magnitude of the factored
     matrix.
     """
-    global factorization_count
+    global factorization_count, lu_slot
     shape = np.shape(A)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"lu_factor: matrix must be square, got shape {shape}")
     n = shape[0]
     factorization_count += 1
+    # Free the kept factors before the new ones are allocated.
+    lu_slot = None
     if is_sparse(A):
         A = _canonical_csr(A)
     band = band_layout(A)
@@ -238,91 +221,6 @@ def lu_factor(A, shift: np.ndarray | None = None) -> LuFactors:
             f"below {PIVOT_RTOL:.0e} * max|A| = {PIVOT_RTOL * scale:.3e}"
         )
     return LuFactors(lu=lu, piv=piv, n=n, band=band)
-
-
-def _frozen(a) -> bool:
-    """Whether array ``a`` and every array down its ``base`` chain are
-    read-only, the chain ending at an array that owns its memory (not at
-    a ``bytearray`` or other writable buffer).
-
-    A writable view taken of the owner before the owner was made read-only
-    would still write through; ``AveProblem``'s private copies have none.
-    """
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        if a.base is None:
-            return True
-        a = a.base
-    return False
-
-
-def _arrays(A) -> tuple | None:
-    """The arrays that hold ``A``'s values: ``A`` itself when dense, its
-    ``data``, ``indices`` and ``indptr`` when CSR, None otherwise."""
-    if isinstance(A, np.ndarray):
-        return (A,)
-    if is_sparse(A) and A.format == "csr":
-        return (A.data, A.indices, A.indptr)
-    return None
-
-
-def _read_only(A) -> bool:
-    """Whether no in-place edit can change ``A``: a dense array, or a CSR
-    matrix, whose arrays are all :func:`_frozen`."""
-    arrays = _arrays(A)
-    return arrays is not None and all(_frozen(a) for a in arrays)
-
-
-def _stamp(A, callback=None) -> tuple | None:
-    """Weak references to ``A`` (with ``callback``) and to the arrays that
-    hold its values, or None when ``A`` is not :func:`_read_only`."""
-    if not _read_only(A):
-        return None
-    return (weakref.ref(A, callback), *(weakref.ref(a) for a in _arrays(A)))
-
-
-def _still(stamp: tuple, A) -> bool:
-    """Whether ``A`` is the matrix ``stamp`` was taken of, still read-only
-    and still holding the same arrays (a CSR matrix can be given new
-    ones)."""
-    return (
-        stamp[0]() is A
-        and _read_only(A)
-        and all(ref() is a for ref, a in zip(stamp[1:], _arrays(A)))
-    )
-
-
-def kept_lu_factor(A, shift: np.ndarray | None = None) -> LuFactors:
-    """:func:`lu_factor` of ``A - diag(shift)``, reused when the last call
-    was for the same ``A`` object and a bitwise equal shift.
-
-    The factors are kept only when ``A`` is read-only, and reused only
-    while it still is and holds the same arrays, so reused factors are
-    never stale; they are the very ``lu_factor`` output a fresh call
-    gives.  Any other call empties the slot before it factors, so the old
-    factors are freed before the new ones are allocated.
-    """
-    global _lu_slot
-    key = None if shift is None else shift.tobytes()
-    if _lu_slot is not None and _lu_slot[1] == key and _still(_lu_slot[0], A):
-        return _lu_slot[2]
-    _lu_slot = None
-    factors = lu_factor(A, shift=shift)
-    stamp = _stamp(A)
-    if stamp is not None:
-        _lu_slot = (stamp, key, factors)
-    return factors
-
-
-def clear_factorization() -> None:
-    """Empty both memories: the factorization slot of
-    :func:`kept_lu_factor` and the interval memo of
-    :func:`singular_value_bounds`, so the next call for any matrix computes
-    afresh."""
-    global _lu_slot
-    _lu_slot = None
-    _bounds_memo.clear()
 
 
 def lu_solve(factors: LuFactors, b: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -370,24 +268,7 @@ def singular_value_bounds(A) -> tuple[float, float, float, float]:
     sum of the magnitudes, so each band bound is widened by ``(n + 4) eps``
     relative to the terms it is computed from.  The lower bound on
     ``sigma_min`` is clipped at 0.
-
-    The bounds of a read-only matrix are kept until the matrix is
-    collected (or :func:`clear_factorization`), and a later call for the
-    same object returns the same tuple.
     """
-    key = id(A)
-    kept = _bounds_memo.get(key)
-    if kept is not None and _still(kept[0], A):
-        return kept[1]
-    bounds = _spectral_interval(A)
-    stamp = _stamp(A, lambda _: _bounds_memo.pop(key, None))
-    if stamp is not None:
-        _bounds_memo[key] = (stamp, bounds)
-    return bounds
-
-
-def _spectral_interval(A) -> tuple[float, float, float, float]:
-    """The computation behind :func:`singular_value_bounds`."""
     n = A.shape[0]
     if band_layout(A) is None:
         sv = scipy.linalg.svdvals(to_dense(A), overwrite_a=True, check_finite=False)
@@ -447,24 +328,27 @@ def matrix_norm2_estimate(A, tol: float = 1e-10, max_iter: int = 200_000) -> flo
     return sigma
 
 
-def sigma_min_estimate(A, tol: float = 1e-10, max_iter: int = 50_000) -> float:
+def sigma_min_estimate(
+    A, tol: float = 1e-10, max_iter: int = 50_000, factors: LuFactors | None = None
+) -> float:
     """Estimate the smallest singular value by inverse power iteration.
 
     Runs power iteration on ``(A^T A)^{-1}`` using one LU factorization of
     ``A`` (two triangular solves per sweep) and stops like
     :func:`matrix_norm2_estimate`, approaching ``sigma_min`` from above.  A
     zero pivot, or a quadratic form rounded to nonpositive, gives ``0.0``.
-    The factorization comes from :func:`kept_lu_factor`, so a solver's
-    factorization of the same read-only ``A`` is reused, and this one kept.
+    ``factors``, an LU factorization of ``A`` the caller already holds, is
+    used instead of a new one.
     """
     if A.shape[0] != A.shape[1]:
         raise ValueError(
             f"sigma_min_estimate: matrix must be square, got shape {A.shape}"
         )
-    try:
-        factors = kept_lu_factor(A)
-    except SingularMatrixError:
-        return 0.0
+    if factors is None:
+        try:
+            factors = lu_factor(A)
+        except SingularMatrixError:
+            return 0.0
     n = factors.n
     v = _start_vector(n)
     sigma_prev = -np.inf

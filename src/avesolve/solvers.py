@@ -7,7 +7,7 @@ behind one report type:
   ``x^{k+1} = x^k - (gamma/2) rho(x^k) A^{-1} G^{-1} e(x^k)`` with
   ``e(x) = A x - |x| - b``; the linear solve uses one LU factorization of
   ``A`` amortized over all iterations, and over later solves of the same
-  problem (see :func:`.linalg.kept_lu_factor`).
+  problem (see :func:`.core.kept_lu`).
 * ``inexact-drs``: same step, but ``x^{k+1}`` only has to satisfy
   ``||Theta_k(x^{k+1})|| <= alpha_k ||e(x^k)||`` with ``Theta_k`` the affine
   subproblem map; the subproblem is solved matrix-free by warm-started LSQR
@@ -42,12 +42,13 @@ LSQR inner solve cannot meet its bound within its retries as
 
 Every LU factorization of ``A`` or ``A - diag(s)``, the one behind a
 derived ``theta``'s ``sigma_min_estimate`` included, goes through
-:func:`.linalg.kept_lu_factor`, which keeps the last one built in a single
-process-wide slot: ``drs``, ``sor-like``, ``fixed-point-inverse`` and a
-derived-``theta`` ``inexact-newton`` run on one problem factor ``A`` once
-between them.  The theoretical ``alpha`` of ``inexact-drs`` reads
-:func:`.linalg.singular_value_bounds`, which computes the interval of a
-problem's ``A`` once.  :func:`clear_factorization` empties both memories.
+:func:`.core.kept_lu`, which keeps the last one built for a problem in a
+single process-wide slot: ``drs``, ``sor-like``, ``fixed-point-inverse``
+and a derived-``theta`` ``inexact-newton`` run on one problem factor ``A``
+once between them.  The theoretical ``alpha`` of ``inexact-drs`` under the
+identity metric reads :func:`.core.spectral_interval`, which computes the
+interval of a problem's ``A`` once.  :func:`clear_factorization` empties
+both memories.
 """
 
 from __future__ import annotations
@@ -63,11 +64,19 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import linalg
-from .core import AveProblem, GMatrix, check_number_fields, residual, rho, theta_k
+from .core import (
+    AveProblem,
+    GMatrix,
+    check_number_fields,
+    clear_factorization,
+    kept_lu,
+    residual,
+    rho,
+    spectral_interval,
+    theta_k,
+)
 from .linalg import (
     SingularMatrixError,
-    clear_factorization,
-    kept_lu_factor,
     lu_solve,
     matrix_norm2_estimate,
     norm2,
@@ -300,7 +309,7 @@ def _drive(
 
 def _drs_exact(p: AveProblem, cfg: SolverConfig):
     """Relaxed splitting iteration with exact linear solves."""
-    factors = kept_lu_factor(p.A)
+    factors = kept_lu(p)
 
     def step(x, k, e, en):
         # rho is identically 1 under the identity metric (e != 0 here).
@@ -504,8 +513,10 @@ def _drs_inexact(p: AveProblem, cfg: SolverConfig):
     if theoretical:
         # ||A^T G|| = ||G A||, which under the identity metric is ||A||.
         # The bound must not fall below it, or alpha exceeds the schedule.
-        GA = p.A if cfg.G.is_identity else sp.diags(cfg.G.diag) @ p.A
-        atg_norm = singular_value_bounds(GA)[3]
+        if cfg.G.is_identity:
+            atg_norm = spectral_interval(p)[3]
+        else:
+            atg_norm = singular_value_bounds(sp.diags(cfg.G.diag) @ p.A)[3]
 
     def step(x, k, e, en):
         rk = rho(cfg.G, e)
@@ -538,7 +549,7 @@ def _newton_exact(p: AveProblem, cfg: SolverConfig):
     """Generalized Newton iteration ``[A - diag(sign(x^k))] x^{k+1} = b``.
 
     Each step factors ``A - diag(sign(x^k))`` through
-    :func:`.linalg.kept_lu_factor`, which drops the previous step's factors
+    :func:`.core.kept_lu`, which drops the previous step's factors
     first.  Banded sparse ``A`` is refactored in band storage, O(n
     bandwidth) per step; any other ``A`` is written into the one dense
     array that step's LU overwrites, so no second n x n copy is ever held.
@@ -556,7 +567,7 @@ def _newton_exact(p: AveProblem, cfg: SolverConfig):
         if prev is not None and np.array_equal(s, prev):
             raise _Stop(SolveStatus.STAGNATED)
         prev = s
-        return lu_solve(kept_lu_factor(p.A, s), p.b), 0
+        return lu_solve(kept_lu(p, s), p.b), 0
 
     return step
 
@@ -568,11 +579,17 @@ def resolve_newton_theta(p: AveProblem, cfg: SolverConfig) -> float | None:
     ``0.9999 (1 - 3 ||A^{-1}||) / (||A^{-1}|| (||A|| + 3))`` is evaluated
     from norm estimates; it only exists for ``||A^{-1}|| < 1/3``, and
     ``None`` is returned when the estimates put ``||A^{-1}||`` outside.
+    The ``||A^{-1}||`` estimate solves with the problem's kept
+    factorization (:func:`.core.kept_lu`), so after ``drs`` it factors
+    nothing.
     """
     if cfg.theta is not None:
         return cfg.theta
     norm_A = matrix_norm2_estimate(p.A, tol=1e-8)
-    sigma_min = sigma_min_estimate(p.A, tol=1e-8)
+    try:
+        sigma_min = sigma_min_estimate(p.A, tol=1e-8, factors=kept_lu(p))
+    except SingularMatrixError:
+        return None
     inv_norm = np.inf if sigma_min == 0.0 else 1.0 / sigma_min
     if inv_norm >= 1.0 / 3.0:
         return None
@@ -630,7 +647,7 @@ def _newton_inexact(p: AveProblem, cfg: SolverConfig):
 
 def _sor_like(p: AveProblem, cfg: SolverConfig):
     """Two-sequence relaxation iteration from ``y^0 = x^0``."""
-    factors = kept_lu_factor(p.A)
+    factors = kept_lu(p)
     omega = cfg.omega
     y = None
 

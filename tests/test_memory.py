@@ -6,7 +6,8 @@ steps, the factorization kept between solves is the only one held, and
 the random generator draws its sparsity pattern in row blocks.  NumPy
 reports its array buffers to ``tracemalloc``, so the traced peak covers
 every widened copy and temporary.  A derived inexact-Newton theta's
-estimator reads the kept factorization rather than building its own.
+estimator reads the kept factorization rather than building its own, and
+any other factorization frees the kept one before it allocates.
 """
 
 import tracemalloc
@@ -95,6 +96,23 @@ def test_derived_theta_reads_the_kept_factorization(problem):
     cold = run_solver("inexact-newton", problem, SolverConfig(), x0=x0)
     assert cold.factorizations == 1
     assert cold.residual_history == reports[1].residual_history
+
+
+def test_generator_estimate_replaces_the_kept_factorization(problem):
+    # The generator's sigma_min estimate factors a matrix of its own; the
+    # factors kept from drs are freed before that LU is allocated.  The
+    # generator alone peaks at 1.64 arrays, and keeping drs's factors
+    # through its estimate would add a whole one (2.65).
+    x0 = gen_x0(N, seed=0)
+    clear_factorization()
+    reports = []
+
+    def drs_then_generate():
+        reports.append(run_solver("drs", problem, SolverConfig(), x0=x0))
+        gen_random_sparse(SPEC)
+
+    assert peak_in_dense_arrays(drs_then_generate) <= 2.0
+    assert reports[0].factorizations == 1
 
 
 def test_random_generator_draws_no_dense_pattern():

@@ -645,7 +645,9 @@ class TestNewton:
 )
 def test_norm_estimates_per_inexact_solve(monkeypatch, method, cfg, estimates, bounds):
     """Only a derived theta estimates ||A||, once per solve; the theoretical
-    alpha reads the upper bound on ||G A|| instead, also once per solve."""
+    alpha reads the upper bound on ||G A|| instead, also once per solve:
+    from the problem's kept interval under the identity metric, from the
+    interval of G A under a diagonal one."""
     calls = {"estimate": 0, "bounds": 0}
 
     def counting(name, fn):
@@ -656,8 +658,8 @@ def test_norm_estimates_per_inexact_solve(monkeypatch, method, cfg, estimates, b
 
     monkeypatch.setattr(solvers, "matrix_norm2_estimate",
                         counting("estimate", solvers.matrix_norm2_estimate))
-    monkeypatch.setattr(solvers, "singular_value_bounds",
-                        counting("bounds", solvers.singular_value_bounds))
+    for name in ("spectral_interval", "singular_value_bounds"):
+        monkeypatch.setattr(solvers, name, counting("bounds", getattr(solvers, name)))
     p = small_random_problem(12, n=40, target=3.2)
     run_solver(method, p, replace(cfg, max_iter=3), x0=gen_x0(40, seed=13))
     assert calls == {"estimate": estimates, "bounds": bounds}
