@@ -127,9 +127,10 @@ def run_bench(
     fair.  ``mean_time`` averages the reports' wall time over all repeats;
     iteration count and status come from the first run (repeats are
     identical apart from timing).  Every run starts with the factorization
-    slot and the interval memo empty (:func:`.solvers.clear_factorization`),
-    so each time includes that run's own factorization and spectral
-    interval of ``A``, whichever solver ran before it.
+    slot and the per-problem memory empty
+    (:func:`.solvers.clear_factorization`), so each time includes that
+    run's own factorization, spectral interval and deflation seed of
+    ``A``, whichever solver ran before it.
     """
     if repeats < 1:
         raise ValueError(f"run_bench: repeats must be >= 1, got {repeats}")

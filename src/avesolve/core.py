@@ -21,10 +21,14 @@ guaranteed bounds, so a certificate is never issued on an estimate's word.
 A problem's ``A`` never changes: ``AveProblem`` is frozen and holds a
 read-only copy.  So what depends on ``A`` alone is kept per problem, here
 beside it: :func:`kept_lu` keeps the last LU factorization built in one
-process-wide slot, and :func:`spectral_interval` keeps the singular-value
-interval of every live problem, so solves and checks of one problem
-factor its ``A`` and bound its spectrum once between them.
-:func:`clear_factorization` empties both.
+process-wide slot, and :func:`kept` keeps, for every live problem, each
+value a caller computes from ``A`` alone: the singular-value interval
+(:func:`spectral_interval`), the Banach verdict of
+:func:`check_solvability`, and the deflation seed of ``inexact-drs``
+(:func:`.solvers.deflation_seed`).  So solves and checks of one problem
+factor its ``A``, bound its spectrum and probe its small singular
+directions once between them.  :func:`clear_factorization` empties both
+memories.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import numbers
 import weakref
 from dataclasses import dataclass, fields
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +51,7 @@ __all__ = [
     "GMatrix",
     "AveProblem",
     "kept_lu",
+    "kept",
     "spectral_interval",
     "clear_factorization",
     "residual",
@@ -146,9 +152,9 @@ class AveProblem:
     reach the problem.  The copy of ``A`` (for CSR: ``data``, ``indices``
     and ``indptr``) is a read-only view of a private read-only array, so an
     in-place edit raises and NumPy refuses to make the view writable again.
-    The problem is frozen and compares by identity, so its factorization
-    and spectral interval are kept for later solves and checks
-    (:func:`kept_lu`, :func:`spectral_interval`).  A new matrix makes a new
+    The problem is frozen and compares by identity, so its factorization,
+    spectral interval and deflation seed are kept for later solves and
+    checks (:func:`kept_lu`, :func:`kept`).  A new matrix makes a new
     problem; ``dataclasses.replace(p, A=...)`` builds one.
     """
 
@@ -177,7 +183,7 @@ class AveProblem:
             M.data, M.indices, M.indptr = views
         else:
             object.__setattr__(self, "A", views[0])
-        # What kept_lu and spectral_interval may keep rests on these arrays.
+        # What kept_lu and kept may keep rests on these arrays.
         object.__setattr__(self, "_arrays", tuple(views))
         if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1] or self.A.shape[0] == 0:
             raise ValueError(f"AveProblem: A must be square and nonempty, got shape {self.A.shape}")
@@ -205,8 +211,8 @@ class AveProblem:
         return self.A.shape[0]
 
 
-# spectral_interval of each live problem.
-_intervals: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# What kept() computed for each live problem: {problem: {compute: value}}.
+_memos: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _intact(p: AveProblem) -> bool:
@@ -240,28 +246,39 @@ def kept_lu(p: AveProblem, shift: np.ndarray | None = None) -> LuFactors:
     return factors
 
 
-def spectral_interval(p: AveProblem) -> tuple[float, float, float, float]:
-    """:func:`.linalg.singular_value_bounds` of ``p.A``, computed once per
-    problem.
+def kept(p: AveProblem, compute: Callable[[AveProblem], object]):
+    """``compute(p)``, computed once per problem; ``compute`` must depend
+    on ``p.A`` alone.
 
-    The four bounds are kept until ``p`` is collected (or
-    :func:`clear_factorization`), and a later call for ``p`` returns the
-    same tuple.  A problem whose ``A`` was given new arrays is never kept.
+    The value is kept, under the function ``compute`` itself, until ``p``
+    is collected (or :func:`clear_factorization`), and a later call for
+    ``p`` returns the same object, so a kept array should be read-only.
+    A problem whose ``A`` was given new arrays is never kept.
     """
     if not _intact(p):
-        return singular_value_bounds(p.A)
-    bounds = _intervals.get(p)
-    if bounds is None:
-        bounds = _intervals[p] = singular_value_bounds(p.A)
-    return bounds
+        return compute(p)
+    memo = _memos.setdefault(p, {})
+    if compute not in memo:
+        memo[compute] = compute(p)
+    return memo[compute]
+
+
+def _interval(p: AveProblem) -> tuple[float, float, float, float]:
+    return singular_value_bounds(p.A)
+
+
+def spectral_interval(p: AveProblem) -> tuple[float, float, float, float]:
+    """:func:`.linalg.singular_value_bounds` of ``p.A``, computed once per
+    problem (:func:`kept`)."""
+    return kept(p, _interval)
 
 
 def clear_factorization() -> None:
     """Empty both memories: the factorization slot of :func:`kept_lu` and
-    the intervals of :func:`spectral_interval`, so the next call for any
-    problem computes afresh."""
+    everything :func:`kept` holds, so the next call for any problem
+    computes afresh."""
     linalg.lu_slot = None
-    _intervals.clear()
+    _memos.clear()
 
 
 def residual(p: AveProblem, x: np.ndarray) -> np.ndarray:
@@ -342,7 +359,7 @@ class SolvabilityReport:
     banach_nu: float | None = None
 
 
-def _banach_witness(A, smax_lo: float, smax_hi: float) -> float | None:
+def _banach_witness(p: AveProblem) -> float | None:
     """``BANACH_NU`` when ``||I - nu A|| < 1 - nu`` is proven there, else
     ``None``.
 
@@ -355,6 +372,8 @@ def _banach_witness(A, smax_lo: float, smax_hi: float) -> float | None:
     ``eps sqrt(n) (1 + nu ||A||)`` in 2-norm, added to the bound.
     """
     nu = BANACH_NU
+    A = p.A
+    _, _, smax_lo, smax_hi = spectral_interval(p)
     if nu * smax_lo - 1.0 >= 1.0 - nu:
         return None
     n = A.shape[0]
@@ -369,8 +388,9 @@ def _banach_witness(A, smax_lo: float, smax_hi: float) -> float | None:
 def check_solvability(p: AveProblem) -> SolvabilityReport:
     """Classify a problem by the smallest singular value of ``A`` and look
     for a Banach contraction witness, from the guaranteed intervals of
-    :func:`.linalg.singular_value_bounds` (that of ``A`` through
-    :func:`spectral_interval`).
+    :func:`.linalg.singular_value_bounds`.  The interval of ``A`` and the
+    witness's verdict are kept per problem (:func:`kept`), so a repeated
+    check bounds nothing.
 
     The regime is strictly monotone when the interval for ``sigma_min``
     lies above ``1 + BOUNDARY_TOL``, boundary monotone when it lies inside
@@ -382,7 +402,7 @@ def check_solvability(p: AveProblem) -> SolvabilityReport:
     when ``||I - nu A|| < 1 - nu`` is proven for it; no larger ``nu`` can
     pass where it fails.  Never raises.
     """
-    smin_lo, smin_hi, smax_lo, smax_hi = spectral_interval(p)
+    smin_lo, smin_hi, _, smax_hi = spectral_interval(p)
     if smin_lo > 1.0 + BOUNDARY_TOL:
         regime = Regime.STRICTLY_MONOTONE
     elif 1.0 - BOUNDARY_TOL <= smin_lo and smin_hi <= 1.0 + BOUNDARY_TOL:
@@ -396,5 +416,5 @@ def check_solvability(p: AveProblem) -> SolvabilityReport:
         norm_A=smax_hi,
         inv_norm=inv_norm,
         regime=regime,
-        banach_nu=_banach_witness(p.A, smax_lo, smax_hi),
+        banach_nu=kept(p, _banach_witness),
     )

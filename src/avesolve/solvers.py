@@ -14,7 +14,9 @@ behind one report type:
   whose residual target enforces exactly that bound.  The inner solves of
   one run share a :class:`Deflation` space of ``DEFLATION_K`` directions
   harvested from their own Lanczos vectors, at a cost of at most
-  ``DEFLATION_BASIS + 3 DEFLATION_K = 220`` vectors of length n.
+  ``DEFLATION_BASIS + 3 DEFLATION_K = 220`` vectors of length n.  For
+  ``n > DEFLATION_BASIS`` the space starts, at the first inner run long
+  enough to harvest, from the problem's kept :func:`deflation_seed`.
 * ``newton``: generalized Newton step
   ``[A - diag(sign(x^k))] x^{k+1} = b``, refactored every iteration.
 * ``inexact-newton``: the same linear system solved by LSQR up to
@@ -47,8 +49,11 @@ single process-wide slot: ``drs``, ``sor-like``, ``fixed-point-inverse``
 and a derived-``theta`` ``inexact-newton`` run on one problem factor ``A``
 once between them.  The theoretical ``alpha`` of ``inexact-drs`` under the
 identity metric reads :func:`.core.spectral_interval`, which computes the
-interval of a problem's ``A`` once.  :func:`clear_factorization` empties
-both memories.
+interval of a problem's ``A`` once, and ``inexact-drs`` reads its
+deflation seed through :func:`.core.kept`, which probes a problem's ``A``
+once.  None of these changes an iterate: a run gives the same iterates
+whether it computes what it needs or finds it kept.
+:func:`clear_factorization` empties both memories.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from .core import (
     GMatrix,
     check_number_fields,
     clear_factorization,
+    kept,
     kept_lu,
     residual,
     rho,
@@ -107,6 +113,16 @@ INNER_RETRY_LIMIT = 5
 # vectors an inner run records for the harvest.
 DEFLATION_K = 20
 DEFLATION_BASIS = 8 * DEFLATION_K
+
+# Passes of the probe behind a problem's deflation seed (deflation_seed):
+# each is a deflated LSQR run of DEFLATION_BASIS iterations and a harvest.
+# Fewer passes make a run that computes the seed cheaper and every run
+# that adopts it dearer.
+SEED_PASSES = DEFLATION_BASIS // (2 * DEFLATION_K)
+
+# LSQR iterations spent by deflation_seed in this process; a run counts
+# the ones spent during it.
+probe_iteration_count = 0
 
 Callback = Callable[[int, np.ndarray], None]
 
@@ -206,17 +222,25 @@ class SolveReport:
     ``inner_iteration_history[k]`` counts the LSQR iterations spent
     producing iterate ``k`` (0 for iterate 0 and for direct methods).
     ``inner_iteration_total`` counts every LSQR iteration of the run.  It
-    equals the sum of the history, except after ``INNER_SOLVER_STALLED``:
-    the iterations of the step that stalled produced no iterate, so they
-    are in the total alone.
+    equals the sum of the history plus two kinds of iterations that
+    produced no iterate: those of the step that stalled, after
+    ``INNER_SOLVER_STALLED``, and those of the probe behind the problem's
+    deflation seed, when this run computed it (:func:`deflation_seed`).
     ``factorizations`` counts the LU factorizations the run computed,
     those of a derived ``theta``'s norm estimates included; a factorization
     reused from an earlier run on the same problem counts 0.
     ``wall_time`` covers the whole run, set-up included: factorizations,
-    the norm estimates of a derived ``theta``, and the method's option
-    checks.  A reused factorization costs nothing, so a run that follows
-    another LU-based run on the same problem can take less time than the
-    same run cold.
+    the norm estimates of a derived ``theta``, the deflation probe, and
+    the method's option checks.  What the process kept from an earlier run
+    on the same problem costs nothing, so such a run can take less time
+    than the same run cold.
+
+    Status, iterations, every history and the final iterate depend only on
+    the problem, the start and the config, never on what the process kept:
+    a kept factorization, interval or deflation seed is bit for bit what
+    the run would have computed.  ``factorizations``,
+    ``inner_iteration_total`` and ``wall_time`` do depend on it, because
+    only the run that computes a kept value pays for it.
     """
 
     status: SolveStatus
@@ -268,6 +292,7 @@ def _drive(
     k = 0
     stalled_inner = 0
     factorizations_before = linalg.factorization_count
+    probe_before = probe_iteration_count
     try:
         step = make_step(p, cfg)
         while True:
@@ -301,7 +326,8 @@ def _drive(
         residual_history=res_hist,
         iterate_norm_history=xnorm_hist,
         inner_iteration_history=inner_hist,
-        inner_iteration_total=sum(inner_hist) + stalled_inner,
+        inner_iteration_total=(sum(inner_hist) + stalled_inner
+                               + probe_iteration_count - probe_before),
         factorizations=linalg.factorization_count - factorizations_before,
         wall_time=time.perf_counter() - t0,
     )
@@ -333,18 +359,22 @@ class Deflation:
     :meth:`solve` takes the ``Y`` components exactly and runs LSQR on
     ``(I - W W^T) A``, whose smallest singular values are gone; every run
     of at least ``2 k`` iterations then refreshes the space from its first
-    Lanczos vectors.  At most ``DEFLATION_BASIS + 3 k`` vectors of length
-    ``n`` are held at once: the recorded basis, ``Y``, ``W`` and ``k`` Ritz
-    vectors.
+    Lanczos vectors.  ``seed``, when given, returns a starting ``(Y, W)``
+    (a problem's kept :func:`deflation_seed`); the space adopts it at the
+    first such run, just before that run's harvest, so runs that never get
+    that long never call it.  At most ``DEFLATION_BASIS + 3 k`` vectors of
+    length ``n`` are held at once: the recorded basis, ``Y``, ``W`` and
+    ``k`` Ritz vectors, plus the probe's own while ``seed`` computes.
     """
 
-    def __init__(self, A, k: int = DEFLATION_K, Y=None, W=None):
+    def __init__(self, A, k: int = DEFLATION_K, Y=None, W=None, seed=None):
         n = A.shape[1]
         self.A = A
         self.AT = AT = transposed(A)
         self.k = k
         self.Y = np.empty((n, 0)) if Y is None else np.asarray(Y, dtype=np.float64)
         self.W = np.empty((n, 0)) if W is None else np.asarray(W, dtype=np.float64)
+        self.seed = seed
         # The products lsqr_solve forms for A itself: with an empty space the
         # run is plain warm-started LSQR, bit for bit.
         self.op = MatOperator(A.shape, lambda v: A @ v, lambda u: AT @ u)
@@ -380,6 +410,9 @@ class Deflation:
             d = res.solution
             cand = y0 + d + Y @ (W.T @ (r0 - matvec(d)))
         if res.iterations >= 2 * self.k:
+            if self.seed is not None:
+                self.Y, self.W = self.seed()
+                self.seed = None
             self._harvest(res)
         res.basis = None
         return cand, res
@@ -405,6 +438,29 @@ class Deflation:
         lo = max(hi - self.k, 0)
         self.Y = (Q @ Ht[lo:hi].T) / s[lo:hi]
         self.W = U[:, lo:hi].copy()
+
+
+def deflation_seed(p: AveProblem) -> tuple[np.ndarray, np.ndarray]:
+    """A starting deflation space ``(Y, W)`` for ``p.A``, a pure function
+    of ``A``, as read-only arrays; ``inexact-drs`` keeps it per problem
+    (:func:`.core.kept`).
+
+    The probe runs ``SEED_PASSES`` inner solves of ``DEFLATION_BASIS``
+    iterations each, with target 0 from zero, on one fixed seeded right
+    side; each pass runs deflated by the space the passes before it
+    harvested.  Its LSQR iterations are added to
+    :data:`probe_iteration_count`.
+    """
+    global probe_iteration_count
+    space = Deflation(p.A)
+    rhs = np.random.default_rng(0).standard_normal(p.n)
+    start = np.zeros(p.n)
+    for _ in range(SEED_PASSES):
+        _, res = space.solve(rhs, start, 0.0, DEFLATION_BASIS)
+        probe_iteration_count += res.iterations
+    for a in (space.Y, space.W):
+        a.flags.writeable = False
+    return space.Y, space.W
 
 
 class ContinuedRun:
@@ -508,7 +564,9 @@ def _drs_inexact(p: AveProblem, cfg: SolverConfig):
         raise ValueError("inexact-drs: theoretical alpha schedule requires mu")
     if theoretical and cfg.mu == math.inf:
         return _drs_exact(p, cfg)
-    space = Deflation(p.A)
+    # Up to n = DEFLATION_BASIS the probe would cost more than a whole run.
+    seed = (lambda: kept(p, deflation_seed)) if p.n > DEFLATION_BASIS else None
+    space = Deflation(p.A, seed=seed)
     max_inner = _inner_cap(p, cfg)
     if theoretical:
         # ||A^T G|| = ||G A||, which under the identity metric is ||A||.
@@ -701,7 +759,11 @@ def run_solver(
 
     Exactly one of ``x0`` and ``seed`` must be given; a seed draws the
     standard random start (entries uniform on (-100, 100)).  Two calls with
-    the same seed and config produce identical reports except for timing.
+    the same problem, start and config give the same status, iterations,
+    histories and final iterate, bit for bit; ``factorizations`` and
+    ``inner_iteration_total`` count only what the call computed rather than
+    took from the process's memories (see :class:`SolveReport`), and
+    ``wall_time`` varies.
     """
     try:
         method = Method(method)

@@ -456,22 +456,6 @@ def load_script(name):
     return module
 
 
-def test_profile_demo_writes_grid_outputs(tmp_path, capsys):
-    demo = load_script("profile_demo")
-    out = tmp_path / "demo"
-    demo.main(["--problems", "2", "--n", "20", "--repeats", "1", "--measure", "iterations",
-               "--out", str(out)])
-    assert sorted(p.name for p in out.iterdir()) == [
-        "bench_manifest.json", "curves.csv", "ratios.csv", "summary.csv"
-    ]
-    solvers = ["drs", "inexact-drs", "newton", "sor-like"]
-    assert json.loads((out / "bench_manifest.json").read_text())["solvers"] == solvers
-    header = (out / "summary.csv").read_text().splitlines()
-    assert header[0] == "solver,efficiency_percent,robustness_percent"
-    assert [row.split(",")[0] for row in header[1:]] == solvers
-    assert "efficiency" in capsys.readouterr().out
-
-
 def test_tridiag_iteration_table_prints_one_row_per_run(capsys):
     load_script("tridiag_iteration_table").main(["--sizes", "20", "40"])
     header, *rows = capsys.readouterr().out.strip().splitlines()

@@ -411,7 +411,24 @@ class TestKeptInterval:
         for seed in range(200):
             check_solvability(random_problem(seed, n=4)[0])
         gc.collect()
-        assert len(core._intervals) == 0
+        assert len(core._memos) == 0
+
+    def test_repeated_check_keeps_the_banach_verdict(self, monkeypatch):
+        # The witness bounds I - nu A once per problem, like the interval.
+        p = gen_tridiag8(200)
+        clear_factorization()
+        calls = []
+
+        def counting(A):
+            calls.append(1)
+            return singular_value_bounds(A)
+
+        monkeypatch.setattr(core, "singular_value_bounds", counting)
+        first = check_solvability(p)
+        assert first.banach_nu == BANACH_NU
+        assert len(calls) == 2
+        assert check_solvability(p) == first
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("A", [
         np.array([[1.0, 2.0], [-2.0 / 3.0, 1.0]]),

@@ -20,12 +20,3 @@ def test_tridiag_iteration_table(capsys):
     assert [r.split()[:3] for r in rows] == [["100", "drs", "Converged"],
                                              ["100", "sor-like", "Converged"]]
 
-
-def test_profile_demo(tmp_path, capsys):
-    load_script("profile_demo").main(
-        ["--problems", "2", "--n", "20", "--repeats", "1", "--out", str(tmp_path)]
-    )
-    for name in ("ratios.csv", "curves.csv", "summary.csv", "bench_manifest.json"):
-        assert (tmp_path / name).stat().st_size > 0, name
-    assert "2 problems x 4 solvers" in capsys.readouterr().out
-

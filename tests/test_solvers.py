@@ -1,5 +1,7 @@
 import csv
+import gc
 import hashlib
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,7 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
-from avesolve import solvers
+from avesolve import core, solvers
 from avesolve.core import AveProblem, GMatrix, check_solvability, residual, theta_k
 from avesolve.generators import (
     GeneratorSpec,
@@ -394,12 +396,89 @@ class TestDeflation:
         x0 = gen_x0(200, seed=1000)
         recycled = run_solver("inexact-drs", p, SolverConfig(), x0=x0)
         # Without a harvest the space stays empty, and every inner solve is
-        # plain warm-started LSQR.
+        # plain warm-started LSQR.  The seed the first run kept would fill
+        # it, so it goes, and the seed computed afresh is empty too.
         monkeypatch.setattr(Deflation, "_harvest", lambda self, res: None)
+        clear_factorization()
         plain = run_solver("inexact-drs", p, SolverConfig(), x0=x0)
         assert recycled.status is plain.status is SolveStatus.CONVERGED
         assert recycled.iterations <= plain.iterations
         assert 2 * recycled.inner_iteration_total <= plain.inner_iteration_total
+
+
+def final_run(p, x0):
+    """An inexact-drs run of ``p`` from ``x0`` at epsilon 1e-6: the report,
+    the SHA-256 of the final iterate's bytes, and the probe iterations
+    spent during the run."""
+    xs = []
+    before = solvers.probe_iteration_count
+    rep = run_solver("inexact-drs", p, SolverConfig(epsilon=1e-6), x0=x0,
+                     callback=lambda k, x: xs.append(x))
+    digest = hashlib.sha256(xs[-1].tobytes()).hexdigest()
+    return rep, digest, solvers.probe_iteration_count - before
+
+
+def kept_seed(p):
+    return core._memos.get(p, {}).get(solvers.deflation_seed)
+
+
+class TestDeflationSeed:
+    """inexact-drs runs on one problem adopt one kept deflation seed."""
+
+    def test_kept_seed_moves_no_iterate(self):
+        p = small_random_problem(0, n=200)
+        x0 = gen_x0(200, 1100)
+        clear_factorization()
+        cold = final_run(p, x0)
+        assert kept_seed(p) is not None
+        warm = final_run(p, x0)
+        clear_factorization()
+        again = final_run(p, x0)
+        probe = solvers.SEED_PASSES * solvers.DEFLATION_BASIS
+        assert [run[2] for run in (cold, warm, again)] == [probe, 0, probe]
+        for rep, digest, _ in (warm, again):
+            assert rep.status is cold[0].status is SolveStatus.CONVERGED
+            assert rep.residual_history == cold[0].residual_history
+            assert rep.iterate_norm_history == cold[0].iterate_norm_history
+            assert rep.inner_iteration_history == cold[0].inner_iteration_history
+            assert digest == cold[1]
+        assert warm[0].inner_iteration_total == sum(warm[0].inner_iteration_history)
+        assert cold[0].inner_iteration_total == warm[0].inner_iteration_total + probe
+        assert again[0].inner_iteration_total == cold[0].inner_iteration_total
+
+    def test_short_inner_runs_compute_no_seed(self):
+        # Every inner run on tridiag8 stays below 2k iterations, so no run
+        # reaches the point where a seed is adopted.
+        p = gen_tridiag8(2000)
+        rep, _, probe = final_run(p, gen_x0(2000, 1))
+        assert rep.status is SolveStatus.CONVERGED
+        assert max(rep.inner_iteration_history) < 2 * solvers.DEFLATION_K
+        assert probe == 0
+        assert p not in core._memos
+
+    def test_no_seed_up_to_the_basis_size(self):
+        n = solvers.DEFLATION_BASIS
+        p = small_random_problem(0, n=n)
+        rep, _, probe = final_run(p, gen_x0(n, 1))
+        assert max(rep.inner_iteration_history) >= 2 * solvers.DEFLATION_K
+        assert probe == 0
+        assert kept_seed(p) is None
+
+    def test_seed_is_read_only_and_dies_with_its_problem(self):
+        clear_factorization()
+        p = small_random_problem(1, n=200)
+        final_run(p, gen_x0(200, 1))
+        Y, W = kept_seed(p)
+        assert Y.shape == W.shape == (200, solvers.DEFLATION_K)
+        for a in (Y, W):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+        npt.assert_allclose(W.T @ W, np.eye(solvers.DEFLATION_K), atol=1e-10)
+        alive = weakref.ref(p)
+        del p
+        gc.collect()
+        assert alive() is None
+        assert len(core._memos) == 0
 
 
 # Seeded n=60 solves from x0 = gen_x0(60, 1) with the default config:
