@@ -24,8 +24,8 @@ beside it: :func:`kept_lu` keeps the last LU factorization built in one
 process-wide slot, and :func:`kept` keeps, for every live problem, each
 value a caller computes from ``A`` alone: the singular-value interval
 (:func:`spectral_interval`), the Banach verdict of
-:func:`check_solvability`, and the deflation seed of ``inexact-drs``
-(:func:`.solvers.deflation_seed`).  So solves and checks of one problem
+:func:`check_solvability`, and the deflation seed that ``inexact-drs``
+and ``inexact-newton`` share (:func:`.solvers.deflation_seed`).  So solves and checks of one problem
 factor its ``A``, bound its spectrum and probe its small singular
 directions once between them.  :func:`clear_factorization` empties both
 memories.

@@ -22,7 +22,11 @@ behind one report type:
 * ``inexact-newton``: the same linear system solved by LSQR up to
   ``||r_k|| <= theta ||e(x^k)||``, where ``theta`` is either supplied or
   derived from norm estimates of ``A`` (undefined when ``||A^{-1}|| >= 1/3``);
-  consecutive steps with one sign pattern continue one LSQR run.
+  consecutive steps with one sign pattern continue one LSQR run.  For
+  ``n > DEFLATION_BASIS`` a run whose inner solve reaches ``2 DEFLATION_K``
+  iterations reads the same kept seed, and when the probe measured it to
+  pay (``SEED_GAIN_GATE``) deflates each new pattern's run with the seed
+  rebased onto ``A - diag(s)``; it never harvests or writes to the seed.
 * ``sor-like``: the two-sequence relaxation
   ``x^{k+1} = (1-omega) x^k + omega A^{-1}(y^k + b)``,
   ``y^{k+1} = (1-omega) y^k + omega |x^{k+1}|`` from ``y^0 = x^0``.
@@ -49,7 +53,7 @@ single process-wide slot: ``drs``, ``sor-like``, ``fixed-point-inverse``
 and a derived-``theta`` ``inexact-newton`` run on one problem factor ``A``
 once between them.  The theoretical ``alpha`` of ``inexact-drs`` under the
 identity metric reads :func:`.core.spectral_interval`, which computes the
-interval of a problem's ``A`` once, and ``inexact-drs`` reads its
+interval of a problem's ``A`` once, and both inexact methods read its
 deflation seed through :func:`.core.kept`, which probes a problem's ``A``
 once.  None of these changes an iterate: a run gives the same iterates
 whether it computes what it needs or finds it kept.
@@ -62,7 +66,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -120,9 +124,16 @@ DEFLATION_BASIS = 8 * DEFLATION_K
 # that adopts it dearer.
 SEED_PASSES = DEFLATION_BASIS // (2 * DEFLATION_K)
 
-# LSQR iterations spent by deflation_seed in this process; a run counts
-# the ones spent during it.
+# An inexact-newton run adopts a deflation seed only when the probe saw it
+# speed LSQR up by more than this factor (DeflationSeed.gain): beyond
+# n of about 1000 the probe misses the bottom of the spectrum, and the
+# two projections per iteration cost more than the iterations they save.
+SEED_GAIN_GATE = 4.0
+
+# LSQR iterations spent by deflation_seed in this process, and inner-solve
+# retries made by _solve_to_criterion; a run counts the ones made during it.
 probe_iteration_count = 0
+inner_retry_count = 0
 
 Callback = Callable[[int, np.ndarray], None]
 
@@ -226,6 +237,10 @@ class SolveReport:
     produced no iterate: those of the step that stalled, after
     ``INNER_SOLVER_STALLED``, and those of the probe behind the problem's
     deflation seed, when this run computed it (:func:`deflation_seed`).
+    ``inner_retries`` counts the inner attempts that repeated a step's
+    solve because its check refused the candidate
+    (:func:`_solve_to_criterion`); a capped first run that continues
+    deflated and the probe's passes are not retries.
     ``factorizations`` counts the LU factorizations the run computed,
     those of a derived ``theta``'s norm estimates included; a factorization
     reused from an earlier run on the same problem counts 0.
@@ -250,6 +265,7 @@ class SolveReport:
     iterate_norm_history: list[float]
     inner_iteration_history: list[int]
     inner_iteration_total: int
+    inner_retries: int
     factorizations: int
     wall_time: float
 
@@ -293,6 +309,7 @@ def _drive(
     stalled_inner = 0
     factorizations_before = linalg.factorization_count
     probe_before = probe_iteration_count
+    retries_before = inner_retry_count
     try:
         step = make_step(p, cfg)
         while True:
@@ -328,6 +345,7 @@ def _drive(
         inner_iteration_history=inner_hist,
         inner_iteration_total=(sum(inner_hist) + stalled_inner
                                + probe_iteration_count - probe_before),
+        inner_retries=inner_retry_count - retries_before,
         factorizations=linalg.factorization_count - factorizations_before,
         wall_time=time.perf_counter() - t0,
     )
@@ -350,72 +368,149 @@ def _heuristic_alpha(k: int, k_max: int) -> float:
 
 
 class Deflation:
-    """Recycled inner-solve space: directions ``Y`` with small ``||A y||``
-    and ``W = A Y`` with orthonormal columns, shared by the inner solves of
-    one run with the same ``A`` (augmented LSQR after Baglama, Reichel and
-    Richmond, Numer. Algorithms 64, 2013; recycling after Parks, de Sturler
-    et al., SIAM J. Sci. Comput. 28, 2006).
+    """Recycled inner-solve space for ``M = A - diag(shift)``: directions
+    ``Y`` with small ``||M y||`` and ``W = M Y`` with orthonormal columns
+    (augmented LSQR after Baglama, Reichel and Richmond, Numer. Algorithms
+    64, 2013; recycling after Parks, de Sturler et al., SIAM J. Sci.
+    Comput. 28, 2006).
 
     :meth:`solve` takes the ``Y`` components exactly and runs LSQR on
-    ``(I - W W^T) A``, whose smallest singular values are gone; every run
-    of at least ``2 k`` iterations then refreshes the space from its first
-    Lanczos vectors.  ``seed``, when given, returns a starting ``(Y, W)``
-    (a problem's kept :func:`deflation_seed`); the space adopts it at the
-    first such run, just before that run's harvest, so runs that never get
-    that long never call it.  At most ``DEFLATION_BASIS + 3 k`` vectors of
-    length ``n`` are held at once: the recorded basis, ``Y``, ``W`` and
-    ``k`` Ritz vectors, plus the probe's own while ``seed`` computes.
+    ``(I - W W^T) M``, whose smallest singular values are gone; with an
+    empty space it is plain warm-started LSQR.  ``seed``, when given,
+    returns a starting space for ``A`` as a :class:`DeflationSeed`, or
+    ``None``; it is called at the first inner run that reaches ``2 k``
+    iterations, so runs that never get that long never call it.
+
+    Without a shift (``inexact-drs``: ``M = A``, a new right side every
+    step) every run of at least ``2 k`` iterations adopts the seed as it
+    is and then refreshes the space from its first Lanczos vectors.  At
+    most ``DEFLATION_BASIS + 3 k`` vectors of length ``n`` are held at
+    once: the recorded basis, ``Y``, ``W`` and ``k`` Ritz vectors, plus
+    the probe's own while ``seed`` computes.
+
+    With a shift (``inexact-newton``: one system ``M y = rhs`` per sign
+    pattern) the space records and harvests nothing.  A given ``Y`` and
+    the seed are rebased onto ``M`` (:meth:`_fit`); an empty space caps
+    its first run at ``2 k`` iterations and, if that run is still short
+    of its target, continues deflated from its candidate when the seed
+    comes, or resumes the capped run when it does not.  Every later
+    :meth:`solve` resumes the last run while it can and ignores ``x``:
+    callers hand back the previous candidate, the run's current iterate.
+    A run that stopped at ``Roundoff`` is not resumed;
+    :attr:`exhausted` says so.  ``AT``, when given, is ``A``'s transpose,
+    so the spaces of one Newton run share one copy.
     """
 
-    def __init__(self, A, k: int = DEFLATION_K, Y=None, W=None, seed=None):
+    def __init__(self, A, k: int = DEFLATION_K, Y=None, W=None, seed=None, shift=None,
+                 AT=None):
         n = A.shape[1]
         self.A = A
-        self.AT = AT = transposed(A)
+        AT = transposed(A) if AT is None else AT
         self.k = k
-        self.Y = np.empty((n, 0)) if Y is None else np.asarray(Y, dtype=np.float64)
-        self.W = np.empty((n, 0)) if W is None else np.asarray(W, dtype=np.float64)
+        self.shift = shift
         self.seed = seed
-        # The products lsqr_solve forms for A itself: with an empty space the
-        # run is plain warm-started LSQR, bit for bit.
-        self.op = MatOperator(A.shape, lambda v: A @ v, lambda u: AT @ u)
+        if shift is None:
+            # The products lsqr_solve forms for A itself: with an empty space
+            # the run is plain warm-started LSQR, bit for bit.
+            self.op = MatOperator(A.shape, lambda v: A @ v, lambda u: AT @ u)
+        else:
+            self.op = MatOperator(A.shape, lambda v: A @ v - shift * v,
+                                  lambda u: AT @ u - shift * u)
+        self.Y = self.W = np.empty((n, 0))
+        if Y is not None:
+            self._adopt(Y, W)
+        # The last run: its LSQR result, the operator and right side it ran
+        # on, and for a deflated run its start y0 and residual r0 there.
+        self.res = None
+        self._run = None
 
     @property
     def size(self) -> int:
         return self.Y.shape[1]
 
+    @property
+    def deflated(self) -> bool:
+        """Whether the last candidate came with ``Y W^T`` corrections."""
+        return self._run is not None and self._run[2] is not None
+
+    @property
+    def exhausted(self) -> bool:
+        return self.res is not None and self.res.stop_reason is LsqrStop.ROUNDOFF
+
     def solve(self, rhs: np.ndarray, x: np.ndarray, target: float, max_iter: int):
-        """One inner run for ``A y = rhs`` from ``x``; returns the candidate
-        and the LSQR result.  With an empty space this is plain warm-started
-        LSQR.  Otherwise it starts at ``y0 = x + Y W^T r0`` and runs LSQR on
-        ``(I - W W^T) A`` from zero with right side ``(I - W W^T) r0'``,
-        where ``r0' = rhs - A y0``; the candidate
-        ``y0 + d + Y W^T (r0' - A d)`` has true residual
-        ``(I - W W^T)(r0' - A d)``, the residual LSQR stopped on, in exact
+        """One inner run for ``M y = rhs`` from ``x``; returns the candidate
+        and the LSQR result, whose ``iterations`` count the whole run.  A
+        deflated run starts at ``y0 = x + Y W^T r0`` and runs LSQR on
+        ``(I - W W^T) M`` from zero with right side ``(I - W W^T) r0'``,
+        where ``r0' = rhs - M y0``; the candidate
+        ``y0 + d + Y W^T (r0' - M d)`` has true residual
+        ``(I - W W^T)(r0' - M d)``, the residual LSQR stopped on, in exact
         arithmetic."""
-        if self.size == 0:
-            res = lsqr_solve(self.op, rhs, target, x0=x, max_iter=max_iter,
-                             keep_basis=DEFLATION_BASIS)
-            cand = res.solution
+        if self.shift is not None and self.res is not None and self.res.state is not None:
+            op, prhs, _ = self._run
+            res = lsqr_solve(op, prhs, target, max_iter=max_iter, resume=self.res)
+        elif self.shift is None:
+            res = self._start(rhs, x, target, max_iter, DEFLATION_BASIS)
         else:
-            A, AT, Y, W, matvec = self.A, self.AT, self.Y, self.W, self.op.matvec
-
-            def project(u):
-                return u - W @ (W.T @ u)
-
-            deflated = MatOperator(A.shape, lambda v: project(A @ v), lambda u: AT @ project(u))
-            y0 = x + Y @ (W.T @ (rhs - matvec(x)))
-            r0 = rhs - matvec(y0)
-            res = lsqr_solve(deflated, project(r0), target, max_iter=max_iter,
-                             keep_basis=DEFLATION_BASIS)
-            d = res.solution
-            cand = y0 + d + Y @ (W.T @ (r0 - matvec(d)))
-        if res.iterations >= 2 * self.k:
-            if self.seed is not None:
-                self.Y, self.W = self.seed()
-                self.seed = None
+            capped = self.seed is not None and self.size == 0 and max_iter > 2 * self.k
+            res = self._start(rhs, x, target, 2 * self.k if capped else max_iter, 0)
+            if capped and res.stop_reason is LsqrStop.MAX_ITER:
+                spent = res.iterations
+                if self._take_seed():
+                    res = self._start(rhs, self._candidate(res), target, max_iter - spent, 0)
+                else:
+                    op, prhs, _ = self._run
+                    res = lsqr_solve(op, prhs, target, max_iter=max_iter - spent, resume=res)
+                res.iterations += spent
+        cand = self._candidate(res)
+        if self.shift is None and res.iterations >= 2 * self.k:
+            self._take_seed()
             self._harvest(res)
         res.basis = None
+        self.res = res
         return cand, res
+
+    def _start(self, rhs, x, target, max_iter, keep_basis):
+        """A fresh LSQR run from ``x``, deflated by the space unless empty."""
+        if self.size == 0:
+            self._run = (self.op, rhs, None)
+            return lsqr_solve(self.op, rhs, target, x0=x, max_iter=max_iter,
+                              keep_basis=keep_basis)
+        Y, W, matvec, rmatvec = self.Y, self.W, self.op.matvec, self.op.rmatvec
+
+        def project(u):
+            return u - W @ (W.T @ u)
+
+        deflated = MatOperator(self.A.shape, lambda v: project(matvec(v)),
+                               lambda u: rmatvec(project(u)))
+        y0 = x + Y @ (W.T @ (rhs - matvec(x)))
+        r0 = rhs - matvec(y0)
+        prhs = project(r0)
+        self._run = (deflated, prhs, (y0, r0, Y, W))
+        return lsqr_solve(deflated, prhs, target, max_iter=max_iter, keep_basis=keep_basis)
+
+    def _candidate(self, res) -> np.ndarray:
+        if not self.deflated:
+            return res.solution
+        y0, r0, Y, W = self._run[2]
+        d = res.solution
+        return y0 + d + Y @ (W.T @ (r0 - self.op.matvec(d)))
+
+    def _take_seed(self) -> bool:
+        """Adopt what ``seed`` returns, once; whether it returned a space."""
+        seed, self.seed = self.seed, None
+        found = seed() if seed is not None else None
+        if found is not None:
+            self._adopt(found.Y, found.W)
+        return found is not None
+
+    def _adopt(self, Y, W) -> None:
+        """Take ``(Y, W)`` with ``A Y = W`` as the space: as it is without
+        a shift, rebased onto ``M`` with one block product otherwise."""
+        if self.shift is None:
+            self.Y, self.W = Y, W
+        else:
+            self._fit(Y)
 
     def _harvest(self, res) -> None:
         """Rayleigh-Ritz with ``A`` on ``Y`` and the ``k`` smallest Ritz
@@ -432,64 +527,59 @@ class Deflation:
         del V
         Q = scipy.linalg.qr(np.hstack([self.Y, Z]), mode="economic")[0]
         del Z
-        U, s, Ht = scipy.linalg.svd(self.A @ Q, full_matrices=False)
-        # s is descending; an exact zero (A singular on span Q) cannot be kept.
+        self._fit(Q)
+
+    def _fit(self, Q) -> None:
+        """Set ``Y = Q H S^-1`` and ``W = U`` from the thin SVD
+        ``M Q = U S H^T``, keeping the ``k`` smallest nonzero singular
+        values, so that ``M Y = W`` with orthonormal ``W``."""
+        MQ = self.A @ Q if self.shift is None else self.A @ Q - self.shift[:, None] * Q
+        U, s, Ht = scipy.linalg.svd(MQ, full_matrices=False)
+        del MQ
+        # s is descending; an exact zero (M singular on span Q) cannot be kept.
         hi = int(np.count_nonzero(s))
         lo = max(hi - self.k, 0)
-        self.Y = (Q @ Ht[lo:hi].T) / s[lo:hi]
+        Y = Q @ Ht[lo:hi].T
+        Y /= s[lo:hi]
+        self.Y = Y
         self.W = U[:, lo:hi].copy()
 
 
-def deflation_seed(p: AveProblem) -> tuple[np.ndarray, np.ndarray]:
-    """A starting deflation space ``(Y, W)`` for ``p.A``, a pure function
-    of ``A``, as read-only arrays; ``inexact-drs`` keeps it per problem
+class DeflationSeed(NamedTuple):
+    """A problem's starting deflation space ``A Y = W``, and ``gain``, how
+    much faster LSQR reduced the residual with it: the first (plain) probe
+    pass's residual drop over the last (deflated) pass's drop."""
+
+    Y: np.ndarray
+    W: np.ndarray
+    gain: float
+
+
+def deflation_seed(p: AveProblem) -> DeflationSeed:
+    """A starting deflation space for ``p.A``, a pure function of ``A``,
+    with read-only arrays; both inexact methods keep it per problem
     (:func:`.core.kept`).
 
     The probe runs ``SEED_PASSES`` inner solves of ``DEFLATION_BASIS``
     iterations each, with target 0 from zero, on one fixed seeded right
     side; each pass runs deflated by the space the passes before it
-    harvested.  Its LSQR iterations are added to
-    :data:`probe_iteration_count`.
+    harvested.  A pass's residual drop is the last over the first
+    ``phibar`` of its trace, so the gain costs no product.  Its LSQR
+    iterations are added to :data:`probe_iteration_count`.
     """
     global probe_iteration_count
     space = Deflation(p.A)
     rhs = np.random.default_rng(0).standard_normal(p.n)
     start = np.zeros(p.n)
+    drops = []
     for _ in range(SEED_PASSES):
         _, res = space.solve(rhs, start, 0.0, DEFLATION_BASIS)
         probe_iteration_count += res.iterations
+        drops.append(res.trace[-1][1] / res.trace[0][1])
     for a in (space.Y, space.W):
         a.flags.writeable = False
-    return space.Y, space.W
-
-
-class ContinuedRun:
-    """One LSQR run on a fixed operator ``op``, continued across inner
-    solves of the same linear system.
-
-    :meth:`solve` resumes the run while it can, and otherwise starts a
-    fresh one from the ``x`` it is given.  A resumed run ignores ``x``:
-    callers hand back the candidate of the previous solve, which is the
-    run's current iterate.  A run that stopped at ``Roundoff`` is not
-    resumed; :attr:`exhausted` says so.
-    """
-
-    def __init__(self, op: MatOperator):
-        self.op = op
-        self.res = None
-
-    @property
-    def exhausted(self) -> bool:
-        return self.res is not None and self.res.stop_reason is LsqrStop.ROUNDOFF
-
-    def solve(self, rhs: np.ndarray, x: np.ndarray, target: float, max_iter: int):
-        """The next candidate for ``op y = rhs`` and its LSQR result."""
-        if self.res is not None and self.res.state is not None:
-            res = lsqr_solve(self.op, rhs, target, max_iter=max_iter, resume=self.res)
-        else:
-            res = lsqr_solve(self.op, rhs, target, x0=x, max_iter=max_iter)
-        self.res = res
-        return res.solution, res
+    gain = drops[0] / drops[-1] if drops[-1] > 0.0 else math.inf
+    return DeflationSeed(space.Y, space.W, gain)
 
 
 def _inner_cap(p: AveProblem, cfg: SolverConfig) -> int:
@@ -498,7 +588,7 @@ def _inner_cap(p: AveProblem, cfg: SolverConfig) -> int:
 
 
 def _solve_to_criterion(
-    space: Deflation | ContinuedRun,
+    space: Deflation,
     rhs: np.ndarray,
     x_start: np.ndarray,
     target: float,
@@ -514,10 +604,10 @@ def _solve_to_criterion(
     extra matvec) only on iterations where its recurrence estimate
     ``phibar`` is at most twice the target; ``phibar`` tracks the true
     residual far closer than that factor, so the skipped iterations are
-    ones that could not have stopped.  :meth:`Deflation.solve` both uses
-    and refreshes a deflation space, and :meth:`ContinuedRun.solve`
-    continues one LSQR run where the previous attempt, or the previous
-    solve of the same system, stopped.
+    ones that could not have stopped.  :meth:`Deflation.solve` uses the
+    space, and either refreshes it (no shift) or continues one LSQR run
+    where the previous attempt, or the previous solve of the same system,
+    stopped (a shift).
 
     A candidate that ``accepts`` refuses is still taken when its LSQR run
     vouched for it, by stopping at ``ResidualTol`` or ``Roundoff``.  At
@@ -531,17 +621,20 @@ def _solve_to_criterion(
     removes them.  ``MaxIter`` and ``Breakdown`` stops are retried; once
     ``INNER_RETRY_LIMIT`` retries are spent the run ends as
     ``INNER_SOLVER_STALLED``, carrying the iterations of every attempt.
+    Every attempt after the first adds one to :data:`inner_retry_count`.
     """
+    global inner_retry_count
     inner_total = 0
     x_warm = x_start
-    deflated_first = isinstance(space, Deflation) and space.size > 0
     for attempt in range(INNER_RETRY_LIMIT + 1):
+        if attempt > 0:
+            inner_retry_count += 1
         cand, res = space.solve(rhs, x_warm, target, max_inner)
         inner_total += res.iterations
         if accepts(cand):
             return cand, inner_total
         vouched = res.stop_reason in (LsqrStop.RESIDUAL_TOL, LsqrStop.ROUNDOFF)
-        if vouched and not (attempt == 0 and deflated_first):
+        if vouched and not (attempt == 0 and space.deflated):
             return cand, inner_total
         x_warm = cand
         target *= 0.5
@@ -663,14 +756,20 @@ def _newton_inexact(p: AveProblem, cfg: SolverConfig):
     method.  Steps whose bound falls below the roundoff scale of the
     linear system are solved to roundoff and accepted.
 
-    Consecutive steps with the same sign pattern solve the same system, and
-    ``x^k`` is the iterate the previous step's LSQR run stopped on, so such
-    a step resumes that run (:class:`ContinuedRun`) at the new target
-    instead of starting a Krylov space from scratch; a changed pattern
-    starts a fresh run from ``x^k``.  A run that stopped at ``Roundoff``
-    has gone as far as double precision takes that system, so an
-    unconverged step with its pattern ends the solve as ``STAGNATED``.
-    An undefined derived ``theta`` ends it as ``THETA_UNDEFINED``.
+    Each sign pattern ``s`` gets a :class:`Deflation` space for
+    ``A - diag(s)``.  Consecutive steps with one pattern solve the same
+    system, and ``x^k`` is the iterate the previous step's LSQR run
+    stopped on, so such a step resumes that run at the new target instead
+    of starting a Krylov space from scratch; a changed pattern starts a
+    fresh run from ``x^k``.  For ``n > DEFLATION_BASIS`` the run reads
+    the problem's kept :func:`deflation_seed` at its first inner run that
+    reaches ``2 DEFLATION_K`` iterations short of its target, and adopts
+    it if its gain exceeds ``SEED_GAIN_GATE``; from then on every new
+    pattern starts deflated by the seed rebased onto its matrix.  The run
+    never writes to the seed.  A run that stopped at ``Roundoff`` has gone
+    as far as double precision takes that system, so an unconverged step
+    with its pattern ends the solve as ``STAGNATED``.  An undefined
+    derived ``theta`` ends it as ``THETA_UNDEFINED``.
     """
     theta = resolve_newton_theta(p, cfg)
     if theta is None:
@@ -678,27 +777,37 @@ def _newton_inexact(p: AveProblem, cfg: SolverConfig):
     if theta == 0.0:
         return _newton_exact(p, cfg)
     max_inner = _inner_cap(p, cfg)
+    # The seed once read: None before, False when its gain is too small.
+    seed = None if p.n > DEFLATION_BASIS else False
     AT = transposed(p.A)
-    run, prev = None, None
+    space, prev = None, None
+
+    def read_seed():
+        nonlocal seed
+        found = kept(p, deflation_seed)
+        seed = found if found.gain > SEED_GAIN_GATE else False
+        return seed or None
 
     def step(x, k, e, en):
-        nonlocal run, prev
+        nonlocal space, prev
         s = sign_diag(x)
         if prev is None or not np.array_equal(s, prev):
-            run = ContinuedRun(MatOperator(
-                p.A.shape,
-                lambda v: p.A @ v - s * v,
-                lambda v: AT @ v - s * v,
-            ))
+            space = None  # the last pattern's run, freed before the next starts
+            if seed is None:
+                space = Deflation(p.A, shift=s, AT=AT, seed=read_seed)
+            elif seed:
+                space = Deflation(p.A, shift=s, AT=AT, Y=seed.Y, W=seed.W)
+            else:
+                space = Deflation(p.A, shift=s, AT=AT)
             prev = s
-        elif run.exhausted:
+        elif space.exhausted:
             raise _Stop(SolveStatus.STAGNATED)
         bound = theta * en
 
         def accepts(cand: np.ndarray) -> bool:
             return norm2(p.A @ cand - s * cand - p.b) <= bound
 
-        return _solve_to_criterion(run, p.b, x, bound, accepts, max_inner)
+        return _solve_to_criterion(space, p.b, x, bound, accepts, max_inner)
 
     return step
 

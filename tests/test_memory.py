@@ -7,7 +7,9 @@ the random generator draws its sparsity pattern in row blocks.  NumPy
 reports its array buffers to ``tracemalloc``, so the traced peak covers
 every widened copy and temporary.  A derived inexact-Newton theta's
 estimator reads the kept factorization rather than building its own, and
-any other factorization frees the kept one before it allocates.
+any other factorization frees the kept one before it allocates.  The
+probe behind a deflation seed holds its recorded Krylov basis, a bounded
+number of vectors of length n, and no n x n array.
 """
 
 import tracemalloc
@@ -17,7 +19,14 @@ import pytest
 
 from avesolve.generators import GeneratorSpec, gen_random_sparse, gen_x0
 from avesolve.linalg import band_layout, lu_factor
-from avesolve.solvers import SolverConfig, clear_factorization, run_solver
+from avesolve.core import kept
+from avesolve.solvers import (
+    DEFLATION_BASIS,
+    SolverConfig,
+    clear_factorization,
+    deflation_seed,
+    run_solver,
+)
 
 N = 400
 SPEC = GeneratorSpec(family="random", n=N, sigma_min_target=3.5, seed=1)
@@ -83,8 +92,13 @@ def test_kept_factorization_is_the_only_one_held(problem):
 def test_derived_theta_reads_the_kept_factorization(problem):
     # The sigma_min estimate behind a derived theta factors through the
     # slot, so after drs it reuses drs's LU instead of building a second.
+    # The deflation seed that inexact-newton reads is kept before the
+    # window opens: its probe alone peaks near one n x n array at this n
+    # (test_cold_probe_holds_vectors_not_arrays), as much as the second LU
+    # this test rules out would add.
     x0 = gen_x0(N, seed=0)
     clear_factorization()
+    kept(problem, deflation_seed)
     reports = []
     peak = peak_in_dense_arrays(lambda: reports.extend(
         run_solver(method, problem, SolverConfig(), x0=x0)
@@ -96,6 +110,15 @@ def test_derived_theta_reads_the_kept_factorization(problem):
     cold = run_solver("inexact-newton", problem, SolverConfig(), x0=x0)
     assert cold.factorizations == 1
     assert cold.residual_history == reports[1].residual_history
+
+
+def test_cold_probe_holds_vectors_not_arrays(problem):
+    # The probe's peak is counted in vectors of length n: the transposed
+    # copy of A (60 at this fill), the recorded basis (160) and its
+    # bidiagonal (64), the space and the harvest's blocks; 387 measured.
+    clear_factorization()
+    peak, _ = traced_dense_arrays(lambda: deflation_seed(problem))
+    assert peak * N <= 2.5 * DEFLATION_BASIS
 
 
 def test_generator_estimate_replaces_the_kept_factorization(problem):

@@ -1,6 +1,10 @@
 import csv
 import gc
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 
@@ -27,7 +31,6 @@ from avesolve.linalg import (
 )
 from avesolve.lsqr import LsqrStop, as_operator, lsqr_solve
 from avesolve.solvers import (
-    ContinuedRun,
     Deflation,
     _solve_to_criterion,
     Method,
@@ -271,12 +274,13 @@ class TestDrsInexact:
         assert rep.status is SolveStatus.INNER_SOLVER_STALLED
         assert rep.inner_iteration_history == [0]
         assert rep.inner_iteration_total == solvers.INNER_RETRY_LIMIT + 1
+        assert rep.inner_retries == solvers.INNER_RETRY_LIMIT
 
     def test_roundoff_floor_accepts_machine_exact_candidate(self):
         # A target far below the roundoff scale of the system and a check
         # that never passes must not stall: once an LSQR run stops at
         # ResidualTol or Roundoff, its candidate is taken.
-        space = ContinuedRun(as_operator(np.eye(2)))
+        space = Deflation(np.eye(2), shift=np.zeros(2))
         rhs = np.array([1.0, -2.0])
         sol, _ = _solve_to_criterion(
             space, rhs, np.zeros(2), 1e-300, lambda cand: False, 50
@@ -344,7 +348,7 @@ class TestDeflation:
         assert norm2(rhs - A @ cand) <= target + floor
 
     def test_continued_run_retry_matches_resumed_lsqr(self):
-        """Through a ContinuedRun, the retry after a MaxIter stop resumes
+        """Through a shifted space, the retry after a MaxIter stop resumes
         the first attempt's LSQR run at half the target, bit for bit."""
         rng = np.random.default_rng(31)
         A = rng.standard_normal((40, 40)) + 8.0 * np.eye(40)
@@ -362,7 +366,7 @@ class TestDeflation:
             return len(seen) == 2
 
         sol, inner = _solve_to_criterion(
-            ContinuedRun(as_operator(A)), rhs, x, target, accepts, max_inner
+            Deflation(A, shift=np.zeros(40)), rhs, x, target, accepts, max_inner
         )
         npt.assert_array_equal(seen[0], first.solution)
         npt.assert_array_equal(sol, second.solution)
@@ -380,7 +384,7 @@ class TestDeflation:
         monkeypatch.setattr(solvers, "lsqr_solve", counting)
         never = lambda cand: False  # noqa: E731
         for space, attempts in [
-            (ContinuedRun(as_operator(A)), 1),
+            (Deflation(A, shift=np.zeros(4)), 1),
             (Deflation(A, k=2), 1),
             (Deflation(A, k=2, Y=np.eye(4)[:, :2] / [1.0, 2.0], W=np.eye(4)[:, :2]), 2),
         ]:
@@ -406,13 +410,12 @@ class TestDeflation:
         assert 2 * recycled.inner_iteration_total <= plain.inner_iteration_total
 
 
-def final_run(p, x0):
-    """An inexact-drs run of ``p`` from ``x0`` at epsilon 1e-6: the report,
-    the SHA-256 of the final iterate's bytes, and the probe iterations
-    spent during the run."""
+def final_run(p, x0, method="inexact-drs", epsilon=1e-6):
+    """A run of ``p`` from ``x0``: the report, the SHA-256 of the final
+    iterate's bytes, and the probe iterations spent during the run."""
     xs = []
     before = solvers.probe_iteration_count
-    rep = run_solver("inexact-drs", p, SolverConfig(epsilon=1e-6), x0=x0,
+    rep = run_solver(method, p, SolverConfig(epsilon=epsilon), x0=x0,
                      callback=lambda k, x: xs.append(x))
     digest = hashlib.sha256(xs[-1].tobytes()).hexdigest()
     return rep, digest, solvers.probe_iteration_count - before
@@ -420,6 +423,28 @@ def final_run(p, x0):
 
 def kept_seed(p):
     return core._memos.get(p, {}).get(solvers.deflation_seed)
+
+
+class TestInnerRetries:
+    """SolveReport.inner_retries counts the attempts that a step's check
+    forced, not LSQR calls."""
+
+    def test_direct_method_retries_nothing(self):
+        rep = run_solver("drs", small_random_problem(0, n=10), SolverConfig(), seed=0)
+        assert rep.status is SolveStatus.CONVERGED
+        assert rep.inner_retries == 0
+
+    def test_one_refused_attempt_is_one_retry(self):
+        # M = diag(2, 4) and r0 = (-2, 4): one LSQR iteration per attempt
+        # leaves the first candidate short of the bound, the check refuses
+        # it, and the retry's one iteration solves the 2 x 2 system.
+        p = AveProblem(np.diag([3.0, 5.0]), np.array([2.0, 8.0]))
+        rep = run_solver("inexact-newton", p, SolverConfig(theta=0.1, inner_max_iter=1),
+                         x0=np.array([2.0, 1.0]))
+        assert rep.status is SolveStatus.CONVERGED
+        assert rep.iterations == 1
+        assert rep.inner_iteration_history == [0, 2]
+        assert rep.inner_retries == 1
 
 
 class TestDeflationSeed:
@@ -445,6 +470,8 @@ class TestDeflationSeed:
         assert warm[0].inner_iteration_total == sum(warm[0].inner_iteration_history)
         assert cold[0].inner_iteration_total == warm[0].inner_iteration_total + probe
         assert again[0].inner_iteration_total == cold[0].inner_iteration_total
+        # The probe's passes and a capped first run are not retries.
+        assert cold[0].inner_retries == warm[0].inner_retries == again[0].inner_retries
 
     def test_short_inner_runs_compute_no_seed(self):
         # Every inner run on tridiag8 stays below 2k iterations, so no run
@@ -468,7 +495,7 @@ class TestDeflationSeed:
         clear_factorization()
         p = small_random_problem(1, n=200)
         final_run(p, gen_x0(200, 1))
-        Y, W = kept_seed(p)
+        Y, W, gain = kept_seed(p)
         assert Y.shape == W.shape == (200, solvers.DEFLATION_K)
         for a in (Y, W):
             with pytest.raises(ValueError, match="read-only"):
@@ -478,6 +505,107 @@ class TestDeflationSeed:
         del p
         gc.collect()
         assert alive() is None
+        assert len(core._memos) == 0
+
+
+def newton_seed_problem():
+    return gen_random_sparse(GeneratorSpec(family="random", n=200, sigma_min_target=3.5, seed=1))
+
+
+# Two inexact-newton runs of newton_seed_problem() from gen_x0(200, 1100)
+# at epsilon 1e-8, printed as JSON: with the seed (gain about 1e12), and
+# with SEED_GAIN_GATE raised above every gain.  The child pins BLAS to one
+# thread, as the benchmark does: the rebase's and the probe's dense blocks,
+# and at n = 200 even the plain run's last step, round differently on more
+# threads.
+_PINNED_NEWTON_CHILD = """
+import hashlib, json, math
+from avesolve import solvers
+from avesolve.generators import gen_x0
+from avesolve.solvers import SolverConfig, clear_factorization, run_solver
+from tests.test_solvers import newton_seed_problem
+
+out = {}
+for name, gate in (("seeded", solvers.SEED_GAIN_GATE), ("gated", math.inf)):
+    solvers.SEED_GAIN_GATE = gate
+    clear_factorization()
+    xs = []
+    rep = run_solver("inexact-newton", newton_seed_problem(), SolverConfig(epsilon=1e-8),
+                     x0=gen_x0(200, 1100), callback=lambda k, x: xs.append(x))
+    out[name] = [rep.status.value, rep.iterations, rep.inner_iteration_history,
+                 rep.inner_iteration_total, hashlib.sha256(xs[-1].tobytes()).hexdigest()]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def pinned_newton_runs():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {**os.environ, **dict.fromkeys(threads, "1"),
+           "PYTHONPATH": os.pathsep.join([os.path.join(root, "src"), root])}
+    out = subprocess.run([sys.executable, "-c", _PINNED_NEWTON_CHILD], env=env, cwd=root,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+class TestNewtonSeed:
+    """inexact-newton runs read the kept seed, rebase it onto each sign
+    pattern's matrix, and never write to it."""
+
+    def test_seeded_run_pinned(self, pinned_newton_runs):
+        probe = solvers.SEED_PASSES * solvers.DEFLATION_BASIS
+        assert pinned_newton_runs["seeded"] == [
+            "Converged", 4, [0, 70, 61, 63, 60], 254 + probe,
+            "7c926b1cc4829c3d0e3f1dafb9b523fb818168bfea31a09b070f4b1c4d5ff5cb",
+        ]
+
+    def test_seed_below_the_gain_gate_keeps_the_plain_runs(self, pinned_newton_runs):
+        # The history and iterate of the runs before inexact-newton read any
+        # seed: a first run capped at 2k and then resumed is one plain run.
+        probe = solvers.SEED_PASSES * solvers.DEFLATION_BASIS
+        assert pinned_newton_runs["gated"] == [
+            "Converged", 4, [0, 326, 344, 344, 30], 1044 + probe,
+            "f6b8bfb8243801919fcc58cccdbddf73a22736b523e71d6e45a45ccd758c47bc",
+        ]
+
+    def test_kept_seed_moves_no_iterate(self):
+        p = newton_seed_problem()
+        x0 = gen_x0(200, 1100)
+        clear_factorization()
+        cold = final_run(p, x0, "inexact-newton", 1e-8)
+        seed = kept_seed(p)
+        assert seed.gain > solvers.SEED_GAIN_GATE
+        warm = final_run(p, x0, "inexact-newton", 1e-8)
+        assert kept_seed(p) is seed
+        clear_factorization()
+        again = final_run(p, x0, "inexact-newton", 1e-8)
+        probe = solvers.SEED_PASSES * solvers.DEFLATION_BASIS
+        assert [run[2] for run in (cold, warm, again)] == [probe, 0, probe]
+        for rep, digest, _ in (warm, again):
+            assert rep.status is cold[0].status is SolveStatus.CONVERGED
+            assert rep.residual_history == cold[0].residual_history
+            assert rep.inner_iteration_history == cold[0].inner_iteration_history
+            assert digest == cold[1]
+        assert warm[0].inner_iteration_total == sum(warm[0].inner_iteration_history)
+        assert cold[0].inner_iteration_total == warm[0].inner_iteration_total + probe
+        assert again[0].inner_iteration_total == cold[0].inner_iteration_total
+        # The probe's passes and a capped first run are not retries.
+        assert cold[0].inner_retries == warm[0].inner_retries == again[0].inner_retries
+
+    def test_short_inner_runs_compute_no_seed(self):
+        # The certify benchmark's tridiag8 solve: 24 LSQR iterations over 13
+        # steps, none near 2k, so the counts and the iterate are those of
+        # the runs before inexact-newton read a seed.
+        clear_factorization()
+        p = gen_tridiag8(1000)
+        rep, digest, probe = final_run(p, gen_x0(1000, 1), "inexact-newton", 1e-8)
+        assert rep.status is SolveStatus.CONVERGED
+        assert rep.iterations == 13
+        assert rep.inner_iteration_history == [0, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 1, 2, 2]
+        assert rep.inner_iteration_total == 24
+        assert digest == "328910b07cb6aad87d67f4ae9cea088f459065d31eeec66d24666d8fd3f284c4"
+        assert probe == 0
         assert len(core._memos) == 0
 
 
