@@ -22,7 +22,8 @@ behind one report type:
 * ``inexact-newton``: the same linear system solved by LSQR up to
   ``||r_k|| <= theta ||e(x^k)||``, where ``theta`` is either supplied or
   derived from norm estimates of ``A`` (undefined when ``||A^{-1}|| >= 1/3``);
-  consecutive steps with one sign pattern continue one LSQR run.  For
+  consecutive steps with one sign pattern continue one LSQR run, on one
+  :class:`Deflation` space retargeted at each new pattern.  For
   ``n > DEFLATION_BASIS`` a run whose inner solve reaches ``2 DEFLATION_K``
   iterations reads the same kept seed, and when the probe measured it to
   pay (``SEED_GAIN_GATE``) deflates each new pattern's run with the seed
@@ -251,9 +252,10 @@ class SolveReport:
     than the same run cold.
 
     Status, iterations, every history and the final iterate depend only on
-    the problem, the start and the config, never on what the process kept:
-    a kept factorization, interval or deflation seed is bit for bit what
-    the run would have computed.  ``factorizations``,
+    the problem, the start, the config and the BLAS thread count (LSQR's
+    products round differently on more threads), never on what the
+    process kept: a kept factorization, interval or deflation seed is bit
+    for bit what the run would have computed.  ``factorizations``,
     ``inner_iteration_total`` and ``wall_time`` do depend on it, because
     only the run that computes a kept value pays for it.
     """
@@ -368,47 +370,54 @@ def _heuristic_alpha(k: int, k_max: int) -> float:
 
 
 class Deflation:
-    """Recycled inner-solve space for ``M = A - diag(shift)``: directions
-    ``Y`` with small ``||M y||`` and ``W = M Y`` with orthonormal columns
-    (augmented LSQR after Baglama, Reichel and Richmond, Numer. Algorithms
-    64, 2013; recycling after Parks, de Sturler et al., SIAM J. Sci.
-    Comput. 28, 2006).
+    """Recycled inner-solve space for ``M = A - diag(shift)``:
+    ``k = DEFLATION_K`` directions ``Y`` with small ``||M y||`` and
+    ``W = M Y`` with orthonormal columns (augmented LSQR after Baglama,
+    Reichel and Richmond, Numer. Algorithms 64, 2013; recycling after
+    Parks, de Sturler et al., SIAM J. Sci. Comput. 28, 2006).
 
     :meth:`solve` takes the ``Y`` components exactly and runs LSQR on
     ``(I - W W^T) M``, whose smallest singular values are gone; with an
     empty space it is plain warm-started LSQR.  ``seed``, when given,
-    returns a starting space for ``A`` as a :class:`DeflationSeed`, or
-    ``None``; it is called at the first inner run that reaches ``2 k``
-    iterations, so runs that never get that long never call it.
+    returns a starting space for ``A`` as a :class:`DeflationSeed`; it is
+    called once, at the first inner run that reaches ``2 k`` iterations,
+    so runs that never get that long never call it.
 
     Without a shift (``inexact-drs``: ``M = A``, a new right side every
     step) every run of at least ``2 k`` iterations adopts the seed as it
-    is and then refreshes the space from its first Lanczos vectors.  At
-    most ``DEFLATION_BASIS + 3 k`` vectors of length ``n`` are held at
-    once: the recorded basis, ``Y``, ``W`` and ``k`` Ritz vectors, plus
-    the probe's own while ``seed`` computes.
+    is, whatever its gain, and then refreshes the space from its first
+    Lanczos vectors.  At most ``DEFLATION_BASIS + 3 k`` vectors of length
+    ``n`` are held at once: the recorded basis, ``Y``, ``W`` and ``k``
+    Ritz vectors, plus the probe's own while ``seed`` computes.
 
     With a shift (``inexact-newton``: one system ``M y = rhs`` per sign
-    pattern) the space records and harvests nothing.  A given ``Y`` and
-    the seed are rebased onto ``M`` (:meth:`_fit`); an empty space caps
-    its first run at ``2 k`` iterations and, if that run is still short
-    of its target, continues deflated from its candidate when the seed
-    comes, or resumes the capped run when it does not.  Every later
-    :meth:`solve` resumes the last run while it can and ignores ``x``:
+    pattern, :meth:`retarget` moving the space to the next) the space
+    records and harvests nothing.  It adopts the seed only when its gain
+    exceeds ``SEED_GAIN_GATE``, and rebases it onto each pattern's ``M``
+    (:meth:`_fit`).  While the seed is unread, a pattern's first run is
+    capped at ``2 k`` iterations and, if it is still short of its target,
+    continues deflated from its candidate when the seed is adopted, or
+    resumes the capped run when it is not.  Every later :meth:`solve` on
+    one pattern resumes the last run while it can and ignores ``x``:
     callers hand back the previous candidate, the run's current iterate.
-    A run that stopped at ``Roundoff`` is not resumed;
-    :attr:`exhausted` says so.  ``AT``, when given, is ``A``'s transpose,
-    so the spaces of one Newton run share one copy.
+    A run that stopped at ``Roundoff`` is not resumed; :attr:`exhausted`
+    says so.
     """
 
-    def __init__(self, A, k: int = DEFLATION_K, Y=None, W=None, seed=None, shift=None,
-                 AT=None):
-        n = A.shape[1]
-        self.A = A
-        AT = transposed(A) if AT is None else AT
-        self.k = k
-        self.shift = shift
+    def __init__(self, A, seed=None, shift=None):
+        self.A, self.AT = A, transposed(A)
         self.seed = seed
+        # The adopted seed's Y, rebased onto each pattern's M.
+        self.base = None
+        self.retarget(shift)
+
+    def retarget(self, shift) -> None:
+        """Move the space to ``M = A - diag(shift)``: drop the last run, and
+        free ``Y`` and ``W`` before rebasing the adopted seed onto ``M``."""
+        A, AT = self.A, self.AT
+        self.shift = shift
+        # The operator's products close over A, AT and shift, not the space,
+        # so a space is freed as soon as its run drops it.
         if shift is None:
             # The products lsqr_solve forms for A itself: with an empty space
             # the run is plain warm-started LSQR, bit for bit.
@@ -416,17 +425,12 @@ class Deflation:
         else:
             self.op = MatOperator(A.shape, lambda v: A @ v - shift * v,
                                   lambda u: AT @ u - shift * u)
-        self.Y = self.W = np.empty((n, 0))
-        if Y is not None:
-            self._adopt(Y, W)
         # The last run: its LSQR result, the operator and right side it ran
         # on, and for a deflated run its start y0 and residual r0 there.
-        self.res = None
-        self._run = None
-
-    @property
-    def size(self) -> int:
-        return self.Y.shape[1]
+        self.res = self._run = None
+        self.Y = self.W = np.empty((A.shape[1], 0))
+        if self.base is not None:
+            self._fit(self.base)
 
     @property
     def deflated(self) -> bool:
@@ -452,8 +456,9 @@ class Deflation:
         elif self.shift is None:
             res = self._start(rhs, x, target, max_iter, DEFLATION_BASIS)
         else:
-            capped = self.seed is not None and self.size == 0 and max_iter > 2 * self.k
-            res = self._start(rhs, x, target, 2 * self.k if capped else max_iter, 0)
+            # A seed still to read leaves the space empty.
+            capped = self.seed is not None and max_iter > 2 * DEFLATION_K
+            res = self._start(rhs, x, target, 2 * DEFLATION_K if capped else max_iter, 0)
             if capped and res.stop_reason is LsqrStop.MAX_ITER:
                 spent = res.iterations
                 if self._take_seed():
@@ -463,8 +468,9 @@ class Deflation:
                     res = lsqr_solve(op, prhs, target, max_iter=max_iter - spent, resume=res)
                 res.iterations += spent
         cand = self._candidate(res)
-        if self.shift is None and res.iterations >= 2 * self.k:
-            self._take_seed()
+        if self.shift is None and res.iterations >= 2 * DEFLATION_K:
+            if self.seed is not None:
+                self._take_seed()
             self._harvest(res)
         res.basis = None
         self.res = res
@@ -472,7 +478,7 @@ class Deflation:
 
     def _start(self, rhs, x, target, max_iter, keep_basis):
         """A fresh LSQR run from ``x``, deflated by the space unless empty."""
-        if self.size == 0:
+        if self.Y.shape[1] == 0:
             self._run = (self.op, rhs, None)
             return lsqr_solve(self.op, rhs, target, x0=x, max_iter=max_iter,
                               keep_basis=keep_basis)
@@ -497,20 +503,18 @@ class Deflation:
         return y0 + d + Y @ (W.T @ (r0 - self.op.matvec(d)))
 
     def _take_seed(self) -> bool:
-        """Adopt what ``seed`` returns, once; whether it returned a space."""
-        seed, self.seed = self.seed, None
-        found = seed() if seed is not None else None
-        if found is not None:
-            self._adopt(found.Y, found.W)
-        return found is not None
-
-    def _adopt(self, Y, W) -> None:
-        """Take ``(Y, W)`` with ``A Y = W`` as the space: as it is without
-        a shift, rebased onto ``M`` with one block product otherwise."""
+        """Read ``seed``, once, and adopt the space it returns: as it is
+        without a shift, and with one only past the gain gate, rebased onto
+        ``M``.  Whether the space was adopted."""
+        found, self.seed = self.seed(), None
         if self.shift is None:
-            self.Y, self.W = Y, W
+            self.Y, self.W = found.Y, found.W
+        elif found.gain > SEED_GAIN_GATE:
+            self.base = found.Y
+            self._fit(self.base)
         else:
-            self._fit(Y)
+            return False
+        return True
 
     def _harvest(self, res) -> None:
         """Rayleigh-Ritz with ``A`` on ``Y`` and the ``k`` smallest Ritz
@@ -521,7 +525,7 @@ class Deflation:
         a, b = np.diag(B), np.diag(B, -1)
         # B^T B is tridiagonal; its eigenvectors map through V to Ritz vectors.
         _, S = scipy.linalg.eigh_tridiagonal(
-            a * a + b * b, b[:-1] * a[1:], select="i", select_range=(0, self.k - 1)
+            a * a + b * b, b[:-1] * a[1:], select="i", select_range=(0, DEFLATION_K - 1)
         )
         Z = V @ S
         del V
@@ -538,7 +542,7 @@ class Deflation:
         del MQ
         # s is descending; an exact zero (M singular on span Q) cannot be kept.
         hi = int(np.count_nonzero(s))
-        lo = max(hi - self.k, 0)
+        lo = max(hi - DEFLATION_K, 0)
         Y = Q @ Ht[lo:hi].T
         Y /= s[lo:hi]
         self.Y = Y
@@ -585,6 +589,12 @@ def deflation_seed(p: AveProblem) -> DeflationSeed:
 def _inner_cap(p: AveProblem, cfg: SolverConfig) -> int:
     """LSQR iterations per inner attempt: ``inner_max_iter``, by default 10 n."""
     return cfg.inner_max_iter if cfg.inner_max_iter is not None else 10 * p.n
+
+
+def _seed_of(p: AveProblem):
+    """The ``seed`` of an inexact run's :class:`Deflation`: none up to
+    ``n = DEFLATION_BASIS``, where the probe costs more than a whole run."""
+    return (lambda: kept(p, deflation_seed)) if p.n > DEFLATION_BASIS else None
 
 
 def _solve_to_criterion(
@@ -657,9 +667,7 @@ def _drs_inexact(p: AveProblem, cfg: SolverConfig):
         raise ValueError("inexact-drs: theoretical alpha schedule requires mu")
     if theoretical and cfg.mu == math.inf:
         return _drs_exact(p, cfg)
-    # Up to n = DEFLATION_BASIS the probe would cost more than a whole run.
-    seed = (lambda: kept(p, deflation_seed)) if p.n > DEFLATION_BASIS else None
-    space = Deflation(p.A, seed=seed)
+    space = Deflation(p.A, seed=_seed_of(p))
     max_inner = _inner_cap(p, cfg)
     if theoretical:
         # ||A^T G|| = ||G A||, which under the identity metric is ||A||.
@@ -756,17 +764,18 @@ def _newton_inexact(p: AveProblem, cfg: SolverConfig):
     method.  Steps whose bound falls below the roundoff scale of the
     linear system are solved to roundoff and accepted.
 
-    Each sign pattern ``s`` gets a :class:`Deflation` space for
-    ``A - diag(s)``.  Consecutive steps with one pattern solve the same
-    system, and ``x^k`` is the iterate the previous step's LSQR run
-    stopped on, so such a step resumes that run at the new target instead
-    of starting a Krylov space from scratch; a changed pattern starts a
-    fresh run from ``x^k``.  For ``n > DEFLATION_BASIS`` the run reads
-    the problem's kept :func:`deflation_seed` at its first inner run that
-    reaches ``2 DEFLATION_K`` iterations short of its target, and adopts
-    it if its gain exceeds ``SEED_GAIN_GATE``; from then on every new
-    pattern starts deflated by the seed rebased onto its matrix.  The run
-    never writes to the seed.  A run that stopped at ``Roundoff`` has gone
+    The run has one :class:`Deflation` space, built at its first step for
+    ``A - diag(s)`` and retargeted at each new sign pattern ``s``.
+    Consecutive steps with one pattern solve the same system, and ``x^k``
+    is the iterate the previous step's LSQR run stopped on, so such a step
+    resumes that run at the new target instead of starting a Krylov space
+    from scratch; a changed pattern starts a fresh run from ``x^k``.  For
+    ``n > DEFLATION_BASIS`` the space reads the problem's kept
+    :func:`deflation_seed` at its first inner run that reaches
+    ``2 DEFLATION_K`` iterations short of its target, and adopts it if its
+    gain exceeds ``SEED_GAIN_GATE``; from then on every new pattern starts
+    deflated by the seed rebased onto its matrix.  The run never writes
+    to the seed.  A run that stopped at ``Roundoff`` has gone
     as far as double precision takes that system, so an unconverged step
     with its pattern ends the solve as ``STAGNATED``.  An undefined
     derived ``theta`` ends it as ``THETA_UNDEFINED``.
@@ -777,29 +786,15 @@ def _newton_inexact(p: AveProblem, cfg: SolverConfig):
     if theta == 0.0:
         return _newton_exact(p, cfg)
     max_inner = _inner_cap(p, cfg)
-    # The seed once read: None before, False when its gain is too small.
-    seed = None if p.n > DEFLATION_BASIS else False
-    AT = transposed(p.A)
-    space, prev = None, None
-
-    def read_seed():
-        nonlocal seed
-        found = kept(p, deflation_seed)
-        seed = found if found.gain > SEED_GAIN_GATE else False
-        return seed or None
+    space = None
 
     def step(x, k, e, en):
-        nonlocal space, prev
+        nonlocal space
         s = sign_diag(x)
-        if prev is None or not np.array_equal(s, prev):
-            space = None  # the last pattern's run, freed before the next starts
-            if seed is None:
-                space = Deflation(p.A, shift=s, AT=AT, seed=read_seed)
-            elif seed:
-                space = Deflation(p.A, shift=s, AT=AT, Y=seed.Y, W=seed.W)
-            else:
-                space = Deflation(p.A, shift=s, AT=AT)
-            prev = s
+        if space is None:
+            space = Deflation(p.A, seed=_seed_of(p), shift=s)
+        elif not np.array_equal(s, space.shift):
+            space.retarget(s)
         elif space.exhausted:
             raise _Stop(SolveStatus.STAGNATED)
         bound = theta * en
@@ -868,11 +863,11 @@ def run_solver(
 
     Exactly one of ``x0`` and ``seed`` must be given; a seed draws the
     standard random start (entries uniform on (-100, 100)).  Two calls with
-    the same problem, start and config give the same status, iterations,
-    histories and final iterate, bit for bit; ``factorizations`` and
-    ``inner_iteration_total`` count only what the call computed rather than
-    took from the process's memories (see :class:`SolveReport`), and
-    ``wall_time`` varies.
+    the same problem, start, config and BLAS thread count give the same
+    status, iterations, histories and final iterate, bit for bit;
+    ``factorizations`` and ``inner_iteration_total`` count only what the
+    call computed rather than took from the process's memories (see
+    :class:`SolveReport`), and ``wall_time`` varies.
     """
     try:
         method = Method(method)

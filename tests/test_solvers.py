@@ -2,6 +2,7 @@ import csv
 import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from avesolve.linalg import (
     lu_factor,
     lu_solve,
     norm2,
+    transposed,
 )
 from avesolve.lsqr import LsqrStop, as_operator, lsqr_solve
 from avesolve.solvers import (
@@ -334,7 +336,8 @@ class TestDeflation:
         q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
         A = q1 @ np.diag(np.geomspace(1e3, 1.0, n)) @ q2.T
         U, s, Vt = scipy.linalg.svd(A)
-        space = Deflation(A, k=k, Y=Vt[-k:].T / s[-k:], W=U[:, -k:])
+        space = Deflation(A)
+        space.Y, space.W = Vt[-k:].T / s[-k:], U[:, -k:]
         rhs = rng.standard_normal(n)
         x = rng.standard_normal(n)
         target = 1e-8 * norm2(rhs)
@@ -383,10 +386,12 @@ class TestDeflation:
 
         monkeypatch.setattr(solvers, "lsqr_solve", counting)
         never = lambda cand: False  # noqa: E731
+        deflated = Deflation(A)
+        deflated.Y, deflated.W = np.eye(4)[:, :2] / [1.0, 2.0], np.eye(4)[:, :2]
         for space, attempts in [
             (Deflation(A, shift=np.zeros(4)), 1),
-            (Deflation(A, k=2), 1),
-            (Deflation(A, k=2, Y=np.eye(4)[:, :2] / [1.0, 2.0], W=np.eye(4)[:, :2]), 2),
+            (Deflation(A), 1),
+            (deflated, 2),
         ]:
             calls.clear()
             sol, _ = _solve_to_criterion(space, rhs, np.zeros(4), 1e-20, never, 50)
@@ -607,6 +612,120 @@ class TestNewtonSeed:
         assert digest == "328910b07cb6aad87d67f4ae9cea088f459065d31eeec66d24666d8fd3f284c4"
         assert probe == 0
         assert len(core._memos) == 0
+
+
+def fixed_theta_newton_run(p):
+    """inexact-newton on ``p`` from gen_x0(200, 1100) at theta 0.1, which
+    crosses five sign patterns; the report and how many it crossed."""
+    xs = []
+    rep = run_solver("inexact-newton", p, SolverConfig(theta=0.1, epsilon=1e-8),
+                     x0=gen_x0(200, 1100), callback=lambda k, x: xs.append(np.sign(x)))
+    patterns = 1 + sum(not np.array_equal(a, b) for a, b in zip(xs[:-2], xs[1:-1]))
+    return rep, patterns
+
+
+class TestOneSpacePerRun:
+    """An inexact run keeps one Deflation space: inexact-newton retargets
+    it at each sign pattern, and the gain gate binds only that policy."""
+
+    def test_drs_adopts_the_seed_whatever_its_gain(self, monkeypatch):
+        p = newton_seed_problem()
+        x0 = gen_x0(200, 1100)
+        clear_factorization()
+        default = final_run(p, x0)
+        monkeypatch.setattr(solvers, "SEED_GAIN_GATE", math.inf)
+        clear_factorization()
+        ungated = final_run(p, x0)
+        probe = solvers.SEED_PASSES * solvers.DEFLATION_BASIS
+        assert default[2] == ungated[2] == probe
+        assert default[0].status is ungated[0].status is SolveStatus.CONVERGED
+        assert ungated[0].residual_history == default[0].residual_history
+        assert ungated[0].iterate_norm_history == default[0].iterate_norm_history
+        assert ungated[0].inner_iteration_history == default[0].inner_iteration_history
+        assert ungated[1] == default[1]
+
+    def test_newton_run_builds_one_space_and_one_transpose(self, monkeypatch):
+        p = newton_seed_problem()
+        # The probe builds a space and a transpose of its own; keep it first.
+        core.kept(p, solvers.deflation_seed)
+        built, transposes = [], []
+
+        class Counted(Deflation):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        def counted_transposed(A):
+            transposes.append(1)
+            return transposed(A)
+
+        monkeypatch.setattr(solvers, "Deflation", Counted)
+        monkeypatch.setattr(solvers, "transposed", counted_transposed)
+        rep, patterns = fixed_theta_newton_run(p)
+        assert rep.status is SolveStatus.CONVERGED
+        assert patterns >= 2
+        assert len(built) == len(transposes) == 1
+
+    def test_no_resume_follows_a_pattern_change(self, monkeypatch):
+        p = newton_seed_problem()
+        core.kept(p, solvers.deflation_seed)
+        events = []
+        retarget = Deflation.retarget
+
+        def marked(self, shift):
+            events.append("retarget")
+            retarget(self, shift)
+
+        def recorded(*args, **kwargs):
+            events.append("resume" if kwargs.get("resume") is not None else "fresh")
+            return lsqr_solve(*args, **kwargs)
+
+        monkeypatch.setattr(Deflation, "retarget", marked)
+        monkeypatch.setattr(solvers, "lsqr_solve", recorded)
+        rep, patterns = fixed_theta_newton_run(p)
+        assert rep.status is SolveStatus.CONVERGED
+        # A new space is aimed at its first pattern by retarget too.
+        assert events.count("retarget") == patterns >= 2
+        assert "resume" in events
+        for before, after in zip(events, events[1:]):
+            if before == "retarget":
+                assert after == "fresh"
+
+    def test_finished_runs_free_their_spaces_without_the_cycle_collector(self, monkeypatch):
+        spaces = []
+
+        class Tracked(Deflation):
+            def __init__(self, *args, **kwargs):
+                spaces.append(weakref.ref(self))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "Deflation", Tracked)
+        p = newton_seed_problem()
+        clear_factorization()
+        gc.disable()
+        try:
+            fixed_theta_newton_run(p)
+            final_run(p, gen_x0(200, 1100))
+            alive = [ref() is not None for ref in spaces]
+        finally:
+            gc.enable()
+        # The probe's, the Newton run's and the drs run's.
+        assert alive == [False, False, False]
+
+    def test_retargeted_space_solves_as_a_new_one(self):
+        rng = np.random.default_rng(32)
+        A = rng.standard_normal((40, 40)) + 8.0 * np.eye(40)
+        rhs, x = rng.standard_normal(40), rng.standard_normal(40)
+        s1, s2 = np.sign(rng.standard_normal((2, 40)))
+        space = Deflation(A, shift=s1)
+        _, first = space.solve(rhs, x, 1e-12, 3)
+        assert first.stop_reason is LsqrStop.MAX_ITER and first.state is not None
+        space.retarget(s2)
+        assert space.res is None and not space.exhausted
+        cand, res = space.solve(rhs, x, 1e-12, 3)
+        new_cand, new = Deflation(A, shift=s2).solve(rhs, x, 1e-12, 3)
+        npt.assert_array_equal(cand, new_cand)
+        assert res.iterations == new.iterations == 3
 
 
 # Seeded n=60 solves from x0 = gen_x0(60, 1) with the default config:
