@@ -249,7 +249,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FileFormatError, FileNotFoundError, GeneratorFailure, ValueError) as exc:
+    except (FileFormatError, OSError, GeneratorFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

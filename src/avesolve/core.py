@@ -20,7 +20,7 @@ guaranteed bounds, so a certificate is never issued on an estimate's word.
 
 A problem's ``A`` never changes: ``AveProblem`` is frozen and holds a
 read-only copy.  So what depends on ``A`` alone is kept per problem, here
-beside it: :func:`kept_lu` keeps the last LU factorization built in one
+beside it: :func:`kept_lu` keeps the LU of one problem's ``A`` in one
 process-wide slot, and :func:`kept` keeps, for every live problem, each
 value a caller computes from ``A`` alone: the singular-value interval
 (:func:`spectral_interval`), the Banach verdict of
@@ -199,8 +199,10 @@ class AveProblem:
             if xs.shape[0] != self.A.shape[0]:
                 raise ValueError("AveProblem: known_solution has wrong length")
             object.__setattr__(self, "known_solution", xs)
+            if not np.all(np.isfinite(xs)):
+                raise ValueError("AveProblem: known_solution has non-finite entries")
             res = norm2(residual(self, xs))
-            if res > 1e-10 * (1.0 + norm2(self.b)):
+            if not res <= 1e-10 * (1.0 + norm2(self.b)):
                 raise ValueError(
                     f"AveProblem: known_solution has residual {res:.3e}, "
                     "not a solution at the stated tolerance"
@@ -224,26 +226,24 @@ def _intact(p: AveProblem) -> bool:
     return all(a is own for a, own in zip(arrays, p._arrays))
 
 
-def kept_lu(p: AveProblem, shift: np.ndarray | None = None) -> LuFactors:
-    """:func:`.linalg.lu_factor` of ``p.A - diag(shift)``, reused when the
-    last call was for the same problem and a bitwise equal shift.
+def kept_lu(p: AveProblem) -> LuFactors:
+    """:func:`.linalg.lu_factor` of ``p.A``, reused when the last call was
+    for the same problem.
 
     The factors sit in the one process-wide slot :data:`.linalg.lu_slot`
     with a weak reference to ``p``, so the slot keeps no problem alive and
     a hit returns the very factors the first call computed.  A miss
     factors afresh, and ``lu_factor`` frees the old factors before it
-    allocates the new ones.  A problem whose ``A`` was given new arrays is
-    never kept.
+    allocates the new ones; any other factorization empties the slot too.
+    A problem whose ``A`` was given new arrays is never kept.
     """
-    key = None if shift is None else shift.tobytes()
+    if not _intact(p):
+        return linalg.lu_factor(p.A)
     slot = linalg.lu_slot
-    if slot is not None and slot[0]() is p and slot[1] == key and _intact(p):
-        return slot[2]
-    del slot  # so that lu_factor's drop of the slot frees the old factors
-    factors = linalg.lu_factor(p.A, shift=shift)
-    if _intact(p):
-        linalg.lu_slot = (weakref.ref(p), key, factors)
-    return factors
+    if slot is None or slot[0]() is not p:
+        del slot  # so that lu_factor's drop of the slot frees the old factors
+        linalg.lu_slot = (weakref.ref(p), linalg.lu_factor(p.A))
+    return linalg.lu_slot[1]
 
 
 def kept(p: AveProblem, compute: Callable[[AveProblem], object]):

@@ -69,9 +69,9 @@ EPS = float(np.finfo(np.float64).eps)
 # included; SolveReport.factorizations is its increase over one run.
 factorization_count = 0
 
-# The factorization core.kept_lu keeps between solves, or None; what it
-# holds and when it is reused are decided there.  One slot, so it holds
-# one factorization at most.
+# The LU of one problem's A that core.kept_lu keeps between solves, as
+# (weak reference to the problem, factors), or None; when it is reused is
+# decided there.  One slot, so it holds one factorization at most.
 lu_slot: tuple | None = None
 
 

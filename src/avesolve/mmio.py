@@ -165,15 +165,14 @@ def write_vector(x: np.ndarray, path) -> None:
 
 
 def read_vector(path) -> np.ndarray:
-    """Read a one-entry-per-line vector; '#' lines and blanks are skipped."""
-    vals = []
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            s = raw.strip()
-            if not s or s.startswith("#"):
-                continue
-            try:
-                vals.append(float(s))
-            except ValueError:
-                _fail(path, lineno, f"could not parse vector entry {s!r}")
-    return np.array(vals, dtype=np.float64)
+    """Read a one-entry-per-line vector of ``real`` entries; '#' lines and blanks are skipped."""
+    with open(path, "rb") as f:
+        data = f.read()
+    # Every line must be blank, a comment or one entry, so '#' starts a comment.
+    line = rb"[ \t]*(?:#[^\n]*|%s[ \t]*)?\r?" % _VALUES["real"]
+    end = re.match(rb"(?:%s\n)*%s" % (line, line), data).end()
+    if end < len(data):
+        lineno = data.count(b"\n", 0, end) + 1
+        bad = data.split(b"\n")[lineno - 1].strip().decode(errors="replace")
+        _fail(path, lineno, f"could not parse vector entry {bad!r}")
+    return np.array([float(s) for s in re.sub(rb"#[^\n]*", b"", data).split()])

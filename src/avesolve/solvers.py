@@ -47,12 +47,12 @@ undefined as ``ThetaUndefined`` at iteration 0, and an inexact run whose
 LSQR inner solve cannot meet its bound within its retries as
 ``InnerSolverStalled``, with the history up to that step kept.
 
-Every LU factorization of ``A`` or ``A - diag(s)``, the one behind a
-derived ``theta``'s ``sigma_min_estimate`` included, goes through
-:func:`.core.kept_lu`, which keeps the last one built for a problem in a
-single process-wide slot: ``drs``, ``sor-like``, ``fixed-point-inverse``
-and a derived-``theta`` ``inexact-newton`` run on one problem factor ``A``
-once between them.  The theoretical ``alpha`` of ``inexact-drs`` under the
+Every LU factorization of ``A``, the one behind a derived ``theta``'s
+``sigma_min_estimate`` included, goes through :func:`.core.kept_lu`, which
+keeps it in a single process-wide slot (``newton``'s LU of ``A - diag(s)``
+lasts one step): ``drs``, ``sor-like``, ``fixed-point-inverse`` and a
+derived-``theta`` ``inexact-newton`` run on one problem factor ``A`` once
+between them.  The theoretical ``alpha`` of ``inexact-drs`` under the
 identity metric reads :func:`.core.spectral_interval`, which computes the
 interval of a problem's ``A`` once, and both inexact methods read its
 deflation seed through :func:`.core.kept`, which probes a problem's ``A``
@@ -88,6 +88,7 @@ from .core import (
 )
 from .linalg import (
     SingularMatrixError,
+    lu_factor,
     lu_solve,
     matrix_norm2_estimate,
     norm2,
@@ -243,7 +244,7 @@ class SolveReport:
     (:func:`_solve_to_criterion`); a capped first run that continues
     deflated and the probe's passes are not retries.
     ``factorizations`` counts the LU factorizations the run computed,
-    those of a derived ``theta``'s norm estimates included; a factorization
+    those of a derived ``theta``'s norm estimates included; an LU of ``A``
     reused from an earlier run on the same problem counts 0.
     ``wall_time`` covers the whole run, set-up included: factorizations,
     the norm estimates of a derived ``theta``, the deflation probe, and
@@ -707,16 +708,15 @@ def _drs_inexact(p: AveProblem, cfg: SolverConfig):
 def _newton_exact(p: AveProblem, cfg: SolverConfig):
     """Generalized Newton iteration ``[A - diag(sign(x^k))] x^{k+1} = b``.
 
-    Each step factors ``A - diag(sign(x^k))`` through
-    :func:`.core.kept_lu`, which drops the previous step's factors
-    first.  Banded sparse ``A`` is refactored in band storage, O(n
-    bandwidth) per step; any other ``A`` is written into the one dense
-    array that step's LU overwrites, so no second n x n copy is ever held.
-    An unconverged iterate with the sign pattern of the previous one ends
-    the run as ``STAGNATED``: the next step would solve the same system
-    and return it bit for bit.  So every step of a run computes one
-    factorization, except that a first step can reuse the last one of an
-    earlier run on the same problem.
+    Each step factors ``A - diag(sign(x^k))`` and drops the factors once it
+    has solved with them; its factorization empties the slot of
+    :func:`.core.kept_lu` first.  Banded sparse ``A`` is refactored in
+    band storage, O(n bandwidth) per step; any other ``A`` is written into
+    the one dense array that step's LU overwrites, so no second n x n copy
+    is ever held.  An unconverged iterate with the sign pattern of the
+    previous one ends the run as ``STAGNATED``: the next step would solve
+    the same system and return it bit for bit.  So every step of a run
+    computes one factorization, which no later step could reuse.
     """
     prev = None
 
@@ -726,7 +726,7 @@ def _newton_exact(p: AveProblem, cfg: SolverConfig):
         if prev is not None and np.array_equal(s, prev):
             raise _Stop(SolveStatus.STAGNATED)
         prev = s
-        return lu_solve(kept_lu(p, s), p.b), 0
+        return lu_solve(lu_factor(p.A, shift=s), p.b), 0
 
     return step
 

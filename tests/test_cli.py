@@ -133,6 +133,13 @@ class TestSolve:
         )
         assert code == 1
 
+    def test_trace_into_a_directory_is_input_error(self, tridiag_bundle, tmp_path, capsys):
+        code = main(["solve", "--problem", str(tridiag_bundle), "--method", "drs",
+                     "--trace", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unknown_method_is_argparse_error(self, tridiag_bundle):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--problem", str(tridiag_bundle), "--method", "cg"])
@@ -240,6 +247,16 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: AveProblem: A must be square and nonempty")
         assert "Traceback" not in err
+
+    def test_problem_that_is_a_file_is_input_error(self, tridiag_bundle, capsys):
+        assert main(["check", "--problem", str(tridiag_bundle / "A.mtx")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_non_finite_known_solution_is_input_error(self, tridiag_bundle, capsys):
+        (tridiag_bundle / "xstar.txt").write_text("nan\n" * 20)
+        assert main(["check", "--problem", str(tridiag_bundle)]) == 1
+        assert capsys.readouterr().err.startswith("error: AveProblem: known_solution")
 
 
 class TestBenchAndProfile:

@@ -221,6 +221,12 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="known_solution"):
             AveProblem(2.0 * np.eye(2), np.ones(2), known_solution=np.ones(2) * 50.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_known_solution(self, bad):
+        # A NaN residual compares False against any tolerance.
+        with pytest.raises(ValueError, match="known_solution has non-finite"):
+            AveProblem(2.0 * np.eye(2), np.ones(2), known_solution=[bad, 1.0])
+
     def test_accepts_true_known_solution(self):
         x = np.array([1.0, -2.0])
         A = 2.0 * np.eye(2)

@@ -248,6 +248,12 @@ class TestBundleIo:
         with pytest.raises(FileFormatError, match="n"):
             load_problem(tmp_path / "bundle")
 
+    def test_non_finite_known_solution(self, tmp_path):
+        save_problem(gen_tridiag8(8), tmp_path / "bundle")
+        (tmp_path / "bundle" / "xstar.txt").write_text("nan\n" * 8)
+        with pytest.raises(ValueError, match="known_solution has non-finite"):
+            load_problem(tmp_path / "bundle")
+
     def test_corrupt_matrix_file(self, tmp_path):
         p = gen_tridiag8(8)
         save_problem(p, tmp_path / "bundle")

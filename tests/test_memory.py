@@ -1,15 +1,15 @@
 """Peak memory of the dense paths, in units of one n x n float64 array.
 
 A dense LU holds the one array LAPACK factors in place, a Newton solve
-widens its matrix afresh at each step and keeps no widened copy across
-steps, the factorization kept between solves is the only one held, and
-the random generator draws its sparsity pattern in row blocks.  NumPy
-reports its array buffers to ``tracemalloc``, so the traced peak covers
-every widened copy and temporary.  A derived inexact-Newton theta's
-estimator reads the kept factorization rather than building its own, and
-any other factorization frees the kept one before it allocates.  The
-probe behind a deflation seed holds its recorded Krylov basis, a bounded
-number of vectors of length n, and no n x n array.
+widens its matrix afresh at each step and keeps no widened copy or factors
+across steps or after the run, the factorization kept between solves is
+the only one held, and the random generator draws its sparsity pattern in
+row blocks.  NumPy reports its array buffers to ``tracemalloc``, so the
+traced peak covers every widened copy and temporary.  A derived
+inexact-Newton theta's estimator reads the kept factorization rather than
+building its own, and any other factorization frees the kept one before
+it allocates.  The probe behind a deflation seed holds its recorded Krylov
+basis, a bounded number of vectors of length n, and no n x n array.
 """
 
 import tracemalloc
@@ -17,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from avesolve import linalg
 from avesolve.generators import GeneratorSpec, gen_random_sparse, gen_x0
 from avesolve.linalg import band_layout, lu_factor
 from avesolve.core import kept
@@ -85,8 +86,21 @@ def test_kept_factorization_is_the_only_one_held(problem):
     assert [r.factorizations for r in reports] == [1, reports[1].iterations, 1]
     assert reports[1].iterations >= 2
     assert peak <= 1.5
-    # The kept factors: one n x n array, its pivots and the shift's bytes.
+    # The kept factors: one n x n array and its pivots.
     assert live < 1.1
+
+
+def test_newton_keeps_no_factors_after_the_run(problem):
+    # Each step's factors of A - diag(s) are a temporary of that step.
+    x0 = gen_x0(N, seed=0)
+    clear_factorization()
+    reports = []
+    _, live = traced_dense_arrays(
+        lambda: reports.append(run_solver("newton", problem, SolverConfig(), x0=x0))
+    )
+    assert reports[0].iterations >= 2
+    assert linalg.lu_slot is None
+    assert live <= 0.1
 
 
 def test_derived_theta_reads_the_kept_factorization(problem):

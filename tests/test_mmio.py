@@ -258,3 +258,21 @@ class TestVectorRoundTrip:
         with pytest.raises(FileFormatError, match=r"b\.txt:2"):
             read_vector(path)
 
+    def test_crlf_indented_comment_and_no_final_newline(self, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_bytes(b"  # header\r\n\t\r\n1.5 \r\n-2.0")
+        npt.assert_array_equal(read_vector(path), [1.5, -2.0])
+
+    def test_specials_exact(self, tmp_path):
+        x = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -1.7976931348623157e308])
+        path = tmp_path / "b.txt"
+        write_vector(x, path)
+        assert read_vector(path).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("entry", ["1_000", "\u0661\u0662", "+1.5", "0x10", "1.5 2", "1e", "infinit"])
+    def test_entry_outside_the_real_grammar(self, tmp_path, entry):
+        # Python's float() reads the first three as 1000.0, 12.0 and 1.5.
+        path = tmp_path / "b.txt"
+        path.write_text(f"1.0\n{entry}\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=r"b\.txt:2: could not parse"):
+            read_vector(path)

@@ -14,7 +14,7 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
-from avesolve import core, solvers
+from avesolve import core, linalg, solvers
 from avesolve.core import AveProblem, GMatrix, check_solvability, residual, theta_k
 from avesolve.generators import (
     GeneratorSpec,
@@ -1122,6 +1122,32 @@ class TestFactorizations:
         rep = run_solver("newton", p, SolverConfig(max_iter=50), seed=11)
         assert rep.status is SolveStatus.CONVERGED and rep.iterations >= 2
         assert rep.factorizations == rep.iterations
+
+    def test_newton_leaves_the_slot_empty(self):
+        # A step's factors of A - diag(s) are dropped once it has solved
+        # with them, and its factorization empties the slot first.
+        p = small_random_problem(10, n=60, target=3.2)
+        run_solver("drs", p, SolverConfig(max_iter=5), seed=11)
+        assert linalg.lu_slot is not None
+        run_solver("newton", p, SolverConfig(max_iter=50), seed=11)
+        assert linalg.lu_slot is None
+
+    def test_newton_restart_after_stagnation_factors_its_pattern(self):
+        # The stagnated run's last pattern is not kept, so a run from its
+        # final iterate factors it again, and ends as that run did.
+        p = gen_random_sparse(
+            GeneratorSpec(family="random", n=200, sigma_min_target=1.5, seed=1)
+        )
+        cfg = SolverConfig(epsilon=1e-8)
+        xs = []
+        first = run_solver("newton", p, cfg, x0=gen_x0(200, 0), callback=lambda k, x: xs.append(x))
+        assert first.status is SolveStatus.STAGNATED
+        again = run_solver("newton", p, cfg, x0=xs[-1], callback=lambda k, x: xs.append(x))
+        assert again.status is SolveStatus.STAGNATED
+        assert again.factorizations == again.iterations == 1
+        assert again.residual_history == [first.residual_history[-1]] * 2
+        assert again.iterate_norm_history == [first.iterate_norm_history[-1]] * 2
+        assert xs[-1].tobytes() == xs[-3].tobytes()
 
     @pytest.mark.parametrize("method, cfg", [
         ("inexact-drs", SolverConfig()),
