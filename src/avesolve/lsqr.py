@@ -44,7 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import is_sparse, transposed
+from .linalg import is_sparse, product, transposed
 
 __all__ = [
     "LsqrStop",
@@ -101,27 +101,33 @@ class LsqrResult:
 
 
 class MatOperator:
-    """Minimal linear-operator wrapper: ``shape``, ``matvec``, ``rmatvec``."""
+    """Minimal linear-operator wrapper: ``shape``, ``matvec``, ``rmatvec``.
+
+    Each method call is one product, so the calls of the methods count an
+    operator's products.  An operator composed from another one's products
+    calls that one's ``matvec_fn`` and ``rmatvec_fn``, not its methods, so
+    that each product is counted once."""
 
     def __init__(self, shape, matvec_fn, rmatvec_fn):
         self.shape = tuple(shape)
-        self._mv = matvec_fn
-        self._rmv = rmatvec_fn
+        self.matvec_fn = matvec_fn
+        self.rmatvec_fn = rmatvec_fn
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._mv(v)
+        return self.matvec_fn(v)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return self._rmv(v)
+        return self.rmatvec_fn(v)
 
 
 def as_operator(A) -> MatOperator:
-    """Wrap a dense or sparse matrix; its transpose is built once, here."""
+    """Wrap a dense or sparse matrix; its transpose is built once, here,
+    and both products are bound once (:func:`.linalg.product`), so each
+    equals ``A @ v`` or ``A.T @ v`` bit for bit."""
     if isinstance(A, MatOperator):
         return A
     if is_sparse(A) or isinstance(A, np.ndarray):
-        AT = transposed(A)
-        return MatOperator(A.shape, lambda v: A @ v, lambda v: AT @ v)
+        return MatOperator(A.shape, product(A), product(transposed(A)))
     raise TypeError(f"as_operator: unsupported operand type {type(A)!r}")
 
 

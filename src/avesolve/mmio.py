@@ -4,11 +4,12 @@ Sparse matrices travel as Matrix Market coordinate files, dense matrices as
 Matrix Market array files (column-major entry order), vectors as one entry
 per line.  SciPy's writer (``scipy.io.mmwrite``) formats the matrix entries
 in the shortest form that round-trips, e.g. ``3.451248509317211E2``, and its
-reader (``scipy.io.mmread``) parses coordinate entries; array entries are
-parsed by NumPy's text parser, which keeps the sign of -0.0.  avesolve
-checks the banner, the size line and the grammar of every entry line
-itself, and every parse failure raises :class:`FileFormatError` naming the
-file and 1-based line.
+reader (``scipy.io.mmread``) parses coordinate entries; array and vector
+entries are parsed by NumPy's text parser, which keeps the sign of -0.0
+(not that of a NaN).  avesolve checks the banner, the size line and the
+grammar of every entry line itself, each file with one regular-expression
+search rather than a match per line, and every parse failure raises
+:class:`FileFormatError` naming the file and 1-based line.
 """
 
 from __future__ import annotations
@@ -75,6 +76,15 @@ _BAD_LINE = {
     for fmt, indices in (("coordinate", rb"\d+[ \t]+\d+[ \t]+"), ("array", b""))
     for field, value in _VALUES.items()
 }
+
+# Find a vector file's first line that is neither blank, a comment nor one
+# entry: the first line if the first pattern matches at 0, else the line the
+# second finds.  One pattern led by "\A|" would lose the search's fast scan
+# for "\n" and take twice as long.
+_BAD_VECTOR_LINE = tuple(
+    re.compile(rb"%s(?![ \t]*(?:#[^\n]*|%s[ \t]*)?\r?(?:\n|\Z))([^\n]*)" % (start, _VALUES["real"]))
+    for start in (b"", b"\n")
+)
 
 
 def _check_header(path, f):
@@ -165,14 +175,20 @@ def write_vector(x: np.ndarray, path) -> None:
 
 
 def read_vector(path) -> np.ndarray:
-    """Read a one-entry-per-line vector of ``real`` entries; '#' lines and blanks are skipped."""
+    """Read a one-entry-per-line vector of ``real`` entries; '#' lines and
+    blanks are skipped.  Beside the result, the read holds the file's bytes
+    and, when it has comments, one copy of them without the comments."""
     with open(path, "rb") as f:
         data = f.read()
     # Every line must be blank, a comment or one entry, so '#' starts a comment.
-    line = rb"[ \t]*(?:#[^\n]*|%s[ \t]*)?\r?" % _VALUES["real"]
-    end = re.match(rb"(?:%s\n)*%s" % (line, line), data).end()
-    if end < len(data):
-        lineno = data.count(b"\n", 0, end) + 1
-        bad = data.split(b"\n")[lineno - 1].strip().decode(errors="replace")
-        _fail(path, lineno, f"could not parse vector entry {bad!r}")
-    return np.array([float(s) for s in re.sub(rb"#[^\n]*", b"", data).split()])
+    first, rest = _BAD_VECTOR_LINE
+    if bad := first.match(data) or rest.search(data):
+        _fail(path, data.count(b"\n", 0, bad.start(1)) + 1,
+              f"could not parse vector entry {bad[1].strip().decode(errors='replace')!r}")
+    if b"#" in data:
+        data = re.sub(rb"#[^\n]*", b"", data)
+    # As in read_matrix_market's array path: only numbers and whitespace are
+    # left, and NumPy reads whitespace alone as [-1.0].
+    if not re.search(rb"\S", data):
+        return np.empty(0)
+    return np.fromstring(data, dtype=np.float64, sep=" ")

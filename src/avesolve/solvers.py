@@ -92,6 +92,7 @@ from .linalg import (
     lu_solve,
     matrix_norm2_estimate,
     norm2,
+    product,
     sigma_min_estimate,
     sign_diag,
     singular_value_bounds,
@@ -403,10 +404,16 @@ class Deflation:
     callers hand back the previous candidate, the run's current iterate.
     A run that stopped at ``Roundoff`` is not resumed; :attr:`exhausted`
     says so.
+
+    The products with ``A`` and ``A^T`` are bound once per space
+    (:func:`.linalg.product`); the shifted and deflated operators call them
+    directly, so one LSQR iteration makes one ``matvec`` and one
+    ``rmatvec`` call on :class:`.lsqr.MatOperator`.
     """
 
     def __init__(self, A, seed=None, shift=None):
-        self.A, self.AT = A, transposed(A)
+        self.A = A
+        self._products = product(A), product(transposed(A))
         self.seed = seed
         # The adopted seed's Y, rebased onto each pattern's M.
         self.base = None
@@ -415,17 +422,17 @@ class Deflation:
     def retarget(self, shift) -> None:
         """Move the space to ``M = A - diag(shift)``: drop the last run, and
         free ``Y`` and ``W`` before rebasing the adopted seed onto ``M``."""
-        A, AT = self.A, self.AT
+        A, (matvec, rmatvec) = self.A, self._products
         self.shift = shift
-        # The operator's products close over A, AT and shift, not the space,
-        # so a space is freed as soon as its run drops it.
+        # The operator's products close over A's bound products and shift,
+        # not the space, so a space is freed as soon as its run drops it.
         if shift is None:
             # The products lsqr_solve forms for A itself: with an empty space
             # the run is plain warm-started LSQR, bit for bit.
-            self.op = MatOperator(A.shape, lambda v: A @ v, lambda u: AT @ u)
+            self.op = MatOperator(A.shape, matvec, rmatvec)
         else:
-            self.op = MatOperator(A.shape, lambda v: A @ v - shift * v,
-                                  lambda u: AT @ u - shift * u)
+            self.op = MatOperator(A.shape, lambda v: matvec(v) - shift * v,
+                                  lambda u: rmatvec(u) - shift * u)
         # The last run: its LSQR result, the operator and right side it ran
         # on, and for a deflated run its start y0 and residual r0 there.
         self.res = self._run = None
@@ -483,15 +490,16 @@ class Deflation:
             self._run = (self.op, rhs, None)
             return lsqr_solve(self.op, rhs, target, x0=x, max_iter=max_iter,
                               keep_basis=keep_basis)
-        Y, W, matvec, rmatvec = self.Y, self.W, self.op.matvec, self.op.rmatvec
+        Y, W, op = self.Y, self.W, self.op
+        matvec, rmatvec = op.matvec_fn, op.rmatvec_fn
 
         def project(u):
             return u - W @ (W.T @ u)
 
-        deflated = MatOperator(self.A.shape, lambda v: project(matvec(v)),
+        deflated = MatOperator(op.shape, lambda v: project(matvec(v)),
                                lambda u: rmatvec(project(u)))
-        y0 = x + Y @ (W.T @ (rhs - matvec(x)))
-        r0 = rhs - matvec(y0)
+        y0 = x + Y @ (W.T @ (rhs - op.matvec(x)))
+        r0 = rhs - op.matvec(y0)
         prhs = project(r0)
         self._run = (deflated, prhs, (y0, r0, Y, W))
         return lsqr_solve(deflated, prhs, target, max_iter=max_iter, keep_basis=keep_basis)

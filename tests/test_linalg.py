@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from avesolve.generators import GeneratorSpec, gen_random_sparse
+from avesolve.generators import GeneratorSpec, gen_random_sparse, gen_tridiag8
 from avesolve.linalg import (
     PIVOT_RTOL,
     SingularMatrixError,
@@ -15,6 +18,7 @@ from avesolve.linalg import (
     lu_solve,
     matrix_norm2_estimate,
     norm2,
+    product,
     sigma_min_estimate,
     sign_diag,
     singular_value_bounds,
@@ -40,6 +44,77 @@ class TestTransposed:
             lhs = float((M @ x) @ y)
             rhs = float(x @ (transposed(M) @ y))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+
+
+def csr_of(A, index_dtype=np.int32, cls=sp.csr_matrix):
+    """``A`` as CSR of class ``cls`` with index arrays of ``index_dtype``."""
+    A = cls(A)
+    # The constructor would shrink int64 indices that fit in int32.
+    A.indices, A.indptr = A.indices.astype(index_dtype), A.indptr.astype(index_dtype)
+    return A
+
+
+class TestProduct:
+    """linalg.product(A) is ``v -> A @ v`` bit for bit: SciPy's CSR kernel
+    for float64 CSR input, ``A.__matmul__`` for everything else."""
+
+    @staticmethod
+    def assert_bit_equal(A, rng, vectors=3):
+        f = product(A)
+        n = A.shape[1]
+        for _ in range(vectors):
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+            assert f(v).tobytes() == (A @ v).tobytes()
+        # A strided view goes through the kernel too.
+        w = rng.standard_normal(2 * n)
+        assert f(w[::2]).tobytes() == (A @ w[::2]).tobytes()
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("cls", [sp.csr_matrix, sp.csr_array])
+    def test_kernel_bit_equal(self, index_dtype, cls):
+        rng = np.random.default_rng(40)
+        A = csr_of(sp.random(70, 50, density=0.2, random_state=rng), index_dtype, cls)
+        assert A.indices.dtype == A.indptr.dtype == index_dtype
+        assert product(A) != A.__matmul__
+        self.assert_bit_equal(A, rng)
+
+    def test_non_canonical_and_empty_rows(self):
+        # Row 0 holds unsorted duplicates, rows 1 and 3 are empty.
+        data = np.array([1e16, 3.0, -1e16, 0.5, 2.0, -7.25])
+        indices = np.array([2, 0, 2, 1, 3, 0], dtype=np.int32)
+        indptr = np.array([0, 4, 4, 6, 6], dtype=np.int32)
+        A = sp.csr_matrix((data, indices, indptr), shape=(4, 4))
+        assert not A.has_canonical_format
+        assert product(A) != A.__matmul__
+        self.assert_bit_equal(A, np.random.default_rng(41))
+        npt.assert_array_equal(product(A)(np.ones(4))[[1, 3]], [0.0, 0.0])
+
+    def test_read_only_problem_arrays(self):
+        p = gen_random_sparse(GeneratorSpec(family="random", n=60, sigma_min_target=3.5, seed=2))
+        assert not (p.A.data.flags.writeable or p.A.indices.flags.writeable
+                    or p.A.indptr.flags.writeable)
+        assert product(p.A) != p.A.__matmul__
+        self.assert_bit_equal(p.A, np.random.default_rng(42))
+
+    @pytest.mark.parametrize("fmt", ["csc", "coo", "dense", "float32"])
+    def test_fallback_is_matmul(self, fmt):
+        rng = np.random.default_rng(43)
+        A = sp.random(30, 20, density=0.3, format="csr", random_state=rng)
+        A = {"csc": A.tocsc(), "coo": A.tocoo(), "dense": A.toarray(),
+             "float32": A.astype(np.float32)}[fmt]
+        assert product(A) == A.__matmul__
+        self.assert_bit_equal(A, rng)
+
+    def test_other_vectors_go_through_matmul(self):
+        rng = np.random.default_rng(44)
+        A = sp.random(30, 20, density=0.3, format="csr", random_state=rng)
+        f = product(A)
+        for v in (rng.standard_normal(20).astype(np.float32), list(range(20)),
+                  rng.standard_normal((20, 1))):
+            assert f(v).tobytes() == (A @ v).tobytes()
+        # The kernel would read past the end of a short vector.
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            f(np.ones(19))
 
 
 class TestLu:
@@ -303,6 +378,30 @@ class TestNormEstimate:
         oracle = np.linalg.svd(A, compute_uv=False)[0]
         assert est == pytest.approx(oracle, rel=1e-8)
 
+
+    def test_pinned_on_tridiag8(self):
+        # The value of the estimator through A @ v, before linalg.product.
+        est = matrix_norm2_estimate(gen_tridiag8(1000).A, tol=1e-8)
+        assert est == float.fromhex("0x1.3ffafbfd73a80p+3")
+
+    def test_pinned_on_random_inexact_instance(self):
+        # random-inexact's first instance, generated on one BLAS thread as
+        # the benchmark does: the generator's dense LU rounds differently on
+        # other thread counts, and with it the instance.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {**os.environ, **dict.fromkeys(threads, "1"),
+               "PYTHONPATH": os.path.join(root, "src")}
+        child = (
+            "from avesolve.generators import GeneratorSpec, gen_random_sparse\n"
+            "from avesolve.linalg import matrix_norm2_estimate\n"
+            "p = gen_random_sparse(GeneratorSpec(family='random', n=300, density=0.1,\n"
+            "                                    sigma_min_target=3.5, margin=0.05, seed=0))\n"
+            "print(matrix_norm2_estimate(p.A, tol=1e-8).hex())\n"
+        )
+        out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "0x1.81db863b756ffp+11"
 
 
 class TestSigmaMin:

@@ -1,10 +1,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from avesolve.linalg import norm2
 from avesolve.lsqr import LsqrStop, MatOperator, as_operator, lsqr_solve
+from avesolve.solvers import Deflation
 
 
 def conditioned_system(rng, n, cond):
@@ -186,18 +188,24 @@ class TestStopping:
 
 
 class TestProductCounts:
-    @pytest.mark.parametrize("fmt", ["csr", "dense"])
+    @pytest.mark.parametrize("fmt", ["csr", "csr-int64", "csr-array", "csc", "dense"])
     def test_as_operator_products_bit_equal(self, fmt):
         rng = np.random.default_rng(14)
         A = sp.random(80, 80, density=0.1, format="csr", random_state=rng) + sp.eye(80)
         A = A.tocsr()
-        if fmt == "dense":
+        if fmt == "csr-int64":
+            A.indices, A.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
+        elif fmt == "csr-array":
+            A = sp.csr_array(A)
+        elif fmt == "csc":
+            A = A.tocsc()
+        elif fmt == "dense":
             A = A.toarray()
         op = as_operator(A)
         for _ in range(3):
             v = rng.standard_normal(80)
-            npt.assert_array_equal(op.rmatvec(v), A.T @ v)
-            npt.assert_array_equal(op.matvec(v), A @ v)
+            assert op.rmatvec(v).tobytes() == (A.T @ v).tobytes()
+            assert op.matvec(v).tobytes() == (A @ v).tobytes()
 
     def test_one_product_each_way_per_iteration(self):
         rng = np.random.default_rng(15)
@@ -218,6 +226,34 @@ class TestProductCounts:
         res = lsqr_solve(op, rhs, 0.0, x0=x0, max_iter=25)
         assert res.stop_reason is LsqrStop.MAX_ITER
         assert counts == {"matvec": 26, "rmatvec": 26}
+
+    def test_one_product_each_way_per_deflated_iteration(self, monkeypatch):
+        """A deflated inner run, counted as the benchmark's tracer counts:
+        by calls to MatOperator.matvec and rmatvec."""
+        counts = {"matvec": 0, "rmatvec": 0}
+        matvec, rmatvec = MatOperator.matvec, MatOperator.rmatvec
+
+        def counted(name, method):
+            def wrapper(self, v):
+                counts[name] += 1
+                return method(self, v)
+            return wrapper
+
+        monkeypatch.setattr(MatOperator, "matvec", counted("matvec", matvec))
+        monkeypatch.setattr(MatOperator, "rmatvec", counted("rmatvec", rmatvec))
+        rng = np.random.default_rng(18)
+        n, k = 60, 4
+        A = (sp.random(n, n, density=0.1, random_state=rng) + 4.0 * sp.eye(n)).tocsr()
+        shift = np.sign(rng.standard_normal(n))
+        space = Deflation(A, shift=shift)
+        U, s, Vt = scipy.linalg.svd(A.toarray() - np.diag(shift))
+        space.Y, space.W = Vt[-k:].T / s[-k:], U[:, -k:]
+        counts.update(matvec=0, rmatvec=0)
+        _, res = space.solve(rng.standard_normal(n), rng.standard_normal(n), 0.0, 25)
+        assert space.deflated and res.stop_reason is LsqrStop.MAX_ITER
+        # Beside one product each way per iteration and LSQR's first rmatvec,
+        # the start y0, its residual r0 and the candidate take one matvec each.
+        assert counts == {"matvec": 25 + 3, "rmatvec": 25 + 1}
 
     def test_target_checks_true_residual_only_near_target(self):
         rng = np.random.default_rng(16)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -268,6 +269,31 @@ class TestVectorRoundTrip:
         path = tmp_path / "b.txt"
         write_vector(x, path)
         assert read_vector(path).tobytes() == x.tobytes()
+
+    def test_bad_first_and_last_line(self, tmp_path):
+        path = tmp_path / "b.txt"
+        for body, line in ((b"1.0 2.0\n3.0\n", 1), (b"1.0\n\n3.0\n4.0 x", 4)):
+            path.write_bytes(body)
+            with pytest.raises(FileFormatError, match=rf"b\.txt:{line}: could not parse"):
+                read_vector(path)
+
+    def test_traced_peak_per_entry(self, tmp_path):
+        # The file's bytes (about 20 per entry here) and the result's 8 are
+        # held; a regular-expression match over the whole file held about
+        # 1 KB per entry.
+        n = 100_000
+        x = np.random.default_rng(5).standard_normal(n)
+        path = tmp_path / "b.txt"
+        write_vector(x, path)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = read_vector(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.tobytes() == x.tobytes()
+        assert (peak - base) / n <= 50
 
     @pytest.mark.parametrize("entry", ["1_000", "\u0661\u0662", "+1.5", "0x10", "1.5 2", "1e", "infinit"])
     def test_entry_outside_the_real_grammar(self, tmp_path, entry):

@@ -22,6 +22,7 @@ from avesolve.generators import (
     gen_random_sparse,
     gen_tridiag8,
     gen_x0,
+    save_problem,
 )
 from avesolve.linalg import (
     SingularMatrixError,
@@ -520,9 +521,10 @@ def newton_seed_problem():
 # Two inexact-newton runs of newton_seed_problem() from gen_x0(200, 1100)
 # at epsilon 1e-8, printed as JSON: with the seed (gain about 1e12), and
 # with SEED_GAIN_GATE raised above every gain.  The child pins BLAS to one
-# thread, as the benchmark does: the rebase's and the probe's dense blocks,
-# and at n = 200 even the plain run's last step, round differently on more
-# threads.
+# thread, as the benchmark does, because it generates its instance: the
+# generator's dense LU rounds differently on more threads, and with it every
+# entry of A and b.  On one loaded instance the LSQR runs do not depend on
+# the thread count (test_lsqr_methods_do_not_depend_on_blas_threads).
 _PINNED_NEWTON_CHILD = """
 import hashlib, json, math
 from avesolve import solvers
@@ -552,6 +554,46 @@ def pinned_newton_runs():
     out = subprocess.run([sys.executable, "-c", _PINNED_NEWTON_CHILD], env=env, cwd=root,
                          capture_output=True, text=True, check=True).stdout
     return json.loads(out)
+
+
+# Both LSQR methods on the bundle given as argv[1], from gen_x0(n, 1100) at
+# epsilon 1e-8: status, steps, inner iterations and the final iterate's
+# SHA-256, printed as JSON.
+_LOADED_LSQR_CHILD = """
+import hashlib, json, sys
+from avesolve import SolverConfig, gen_x0, load_problem, run_solver
+
+p = load_problem(sys.argv[1])
+out = {}
+for method in ("inexact-drs", "inexact-newton"):
+    xs = []
+    rep = run_solver(method, p, SolverConfig(epsilon=1e-8), x0=gen_x0(p.n, 1100),
+                     callback=lambda k, x: xs.append(x))
+    out[method] = [rep.status.value, rep.iterations, rep.inner_iteration_total,
+                   hashlib.sha256(xs[-1].tobytes()).hexdigest()]
+print(json.dumps(out))
+"""
+
+
+def test_lsqr_methods_do_not_depend_on_blas_threads(tmp_path):
+    """On one loaded instance, inexact-drs and inexact-newton end on the
+    same iterate, bit for bit, on one and on two OpenBLAS threads.  The
+    methods that factor A densely are left out: LAPACK's LU may round
+    differently on another thread count."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    save_problem(gen_random_sparse(GeneratorSpec(family="random", n=600, sigma_min_target=3.5,
+                                                 seed=1)), tmp_path / "p")
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                              "MKL_NUM_THREADS"), threads),
+               "PYTHONPATH": os.path.join(root, "src")}
+        out = subprocess.run([sys.executable, "-c", _LOADED_LSQR_CHILD, str(tmp_path / "p")],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        runs.append(json.loads(out))
+    assert runs[0] == runs[1]
+    for status, steps, inner, _ in runs[0].values():
+        assert status == "Converged" and steps > 1 and inner > 1000
 
 
 class TestNewtonSeed:
