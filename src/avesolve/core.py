@@ -330,12 +330,14 @@ def theta_k(
     once, so a solver testing many candidates in one step pays one product
     with ``A`` per candidate.  Both give the same bits.
     """
-    ek = residual(p, xk)
+    # One product with A for both terms in xk; each rounds as in residual()
+    # and in the formula above: (2 A x - 2 A xk) + shift.
+    axk = p.A @ xk
+    ek = axk - np.abs(xk) - p.b
     if not np.any(ek):
         raise ZeroResidualError("theta_k: undefined at zero residual")
     rk = rho(G, ek)
-    # Evaluated in the order of the formula above: (2 A x - 2 A xk) + shift.
-    axk2 = 2.0 * (p.A @ xk)
+    axk2 = 2.0 * axk
     shift = (gamma * rk) * G.apply_inv(ek)
 
     def step_map(y: np.ndarray) -> np.ndarray:

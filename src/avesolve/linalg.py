@@ -29,6 +29,12 @@ plain, shifted and deflated operators of the solvers' deflation space, and
 factorization :func:`.core.kept_lu` keeps between solves, before it
 allocates, so no factorization is ever built beside a kept one.
 
+:class:`Work` is the ledger of one solver run, which the run publishes
+through the context variable :data:`work` while it lasts.  Each count is
+made where the work happens: :func:`lu_factor` counts its factorizations
+here, :mod:`.lsqr` its iterations and :mod:`.solvers` its retries.  Work
+done outside a run goes to the default ledger, which nobody reads.
+
 The spectral-norm and smallest-singular-value estimates feed only the
 derived inexact-Newton ``theta``, the rescaling of the random generator and
 ``build_manifest``'s ``sigma_min_achieved``.  They use power iteration on
@@ -43,6 +49,7 @@ matrix has smallest singular value ``0.0``.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -73,10 +80,6 @@ PIVOT_RTOL = 1e-14
 
 EPS = float(np.finfo(np.float64).eps)
 
-# Factorizations lu_factor has started in this process, failed ones
-# included; SolveReport.factorizations is its increase over one run.
-factorization_count = 0
-
 # The LU of one problem's A that core.kept_lu keeps between solves, as
 # (weak reference to the problem, factors), or None; when it is reused is
 # decided there.  One slot, so it holds one factorization at most.
@@ -85,6 +88,21 @@ lu_slot: tuple | None = None
 
 class SingularMatrixError(Exception):
     """LU factorization met a pivot indistinguishable from zero."""
+
+
+@dataclass
+class Work:
+    """The work of one solver run, counted where it happens: LU
+    factorizations started, failed ones included; LSQR iterations, each
+    call adding its own; and inner-solve retries."""
+
+    factorizations: int = 0
+    lsqr_iterations: int = 0
+    retries: int = 0
+
+
+# The ledger of the running solve; outside a run, the default one.
+work: contextvars.ContextVar[Work] = contextvars.ContextVar("work", default=Work())
 
 
 def is_sparse(A) -> bool:
@@ -226,12 +244,12 @@ def lu_factor(A, shift: np.ndarray | None = None) -> LuFactors:
     below ``PIVOT_RTOL`` times the largest entry magnitude of the factored
     matrix.
     """
-    global factorization_count, lu_slot
+    global lu_slot
     shape = np.shape(A)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"lu_factor: matrix must be square, got shape {shape}")
     n = shape[0]
-    factorization_count += 1
+    work.get().factorizations += 1
     # Free the kept factors before the new ones are allocated.
     lu_slot = None
     if is_sparse(A):

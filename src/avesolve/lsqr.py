@@ -33,7 +33,8 @@ departures from the textbook routine matter here:
 
 The operator only needs ``shape``, ``matvec`` and ``rmatvec``; dense arrays
 and scipy sparse matrices are wrapped automatically.  Each iteration does
-one ``matvec`` and one ``rmatvec``.
+one ``matvec`` and one ``rmatvec``.  Every call adds the iterations it ran
+to the running solve's ledger (:data:`.linalg.work`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import is_sparse, product, transposed
+from .linalg import is_sparse, product, transposed, work
 
 __all__ = [
     "LsqrStop",
@@ -213,6 +214,7 @@ def lsqr_solve(
     started = broke = alpha_broke = False
 
     def finish(iters: int, rnorm: float, reason: LsqrStop) -> LsqrResult:
+        work.get().lsqr_iterations += iters
         basis = None
         if keep_basis > 0:
             j = min(iters, keep_basis)

@@ -59,6 +59,12 @@ deflation seed through :func:`.core.kept`, which probes a problem's ``A``
 once.  None of these changes an iterate: a run gives the same iterates
 whether it computes what it needs or finds it kept.
 :func:`clear_factorization` empties both memories.
+
+A run's work counts are made where the work happens, into the ledger
+(:class:`.linalg.Work`) that :func:`_drive` publishes for the length of
+the run: LU factorizations in :func:`.linalg.lu_factor`, LSQR iterations
+in :func:`.lsqr.lsqr_solve`, and retries in :func:`_solve_to_criterion`.
+A run started inside another run's callback counts into its own ledger.
 """
 
 from __future__ import annotations
@@ -133,11 +139,6 @@ SEED_PASSES = DEFLATION_BASIS // (2 * DEFLATION_K)
 # two projections per iteration cost more than the iterations they save.
 SEED_GAIN_GATE = 4.0
 
-# LSQR iterations spent by deflation_seed in this process, and inner-solve
-# retries made by _solve_to_criterion; a run counts the ones made during it.
-probe_iteration_count = 0
-inner_retry_count = 0
-
 Callback = Callable[[int, np.ndarray], None]
 
 
@@ -162,12 +163,10 @@ class SolveStatus(Enum):
 
 
 class _Stop(Exception):
-    """Raised by a method's set-up or step to end the run with ``status``;
-    ``inner`` counts the inner iterations spent by a step that ended it."""
+    """Raised by a method's set-up or step to end the run with ``status``."""
 
-    def __init__(self, status: SolveStatus, inner: int = 0):
+    def __init__(self, status: SolveStatus):
         self.status = status
-        self.inner = inner
 
 
 @dataclass(frozen=True)
@@ -235,18 +234,21 @@ class SolveReport:
     Histories cover iterates ``0..iterations`` inclusive;
     ``inner_iteration_history[k]`` counts the LSQR iterations spent
     producing iterate ``k`` (0 for iterate 0 and for direct methods).
-    ``inner_iteration_total`` counts every LSQR iteration of the run.  It
-    equals the sum of the history plus two kinds of iterations that
-    produced no iterate: those of the step that stalled, after
-    ``INNER_SOLVER_STALLED``, and those of the probe behind the problem's
-    deflation seed, when this run computed it (:func:`deflation_seed`).
+    ``inner_iteration_total`` counts every LSQR iteration of the run, each
+    once, in the call that ran it.  So it is the sum of the history plus
+    the iterations that produced no iterate: those of the step that
+    stalled, after ``INNER_SOLVER_STALLED``, and those of the probe behind
+    the problem's deflation seed, when this run computed it
+    (:func:`deflation_seed`).
     ``inner_retries`` counts the inner attempts that repeated a step's
     solve because its check refused the candidate
     (:func:`_solve_to_criterion`); a capped first run that continues
     deflated and the probe's passes are not retries.
     ``factorizations`` counts the LU factorizations the run computed,
     those of a derived ``theta``'s norm estimates included; an LU of ``A``
-    reused from an earlier run on the same problem counts 0.
+    reused from an earlier run on the same problem counts 0.  The three
+    counts are the run's own :class:`.linalg.Work` ledger: a run started
+    from a callback counts its work in its own report, not in this one.
     ``wall_time`` covers the whole run, set-up included: factorizations,
     the norm estimates of a derived ``theta``, the deflation probe, and
     the method's option checks.  What the process kept from an earlier run
@@ -288,6 +290,11 @@ def _drive(
     ``step(x, k, e, e_norm) -> (x_next, inner_iters)``.  Set-up and steps
     end a run early by raising SingularMatrixError or :class:`_Stop`;
     either becomes the report status.
+
+    From set-up to the last step, a fresh :class:`.linalg.Work` is the
+    running solve's ledger (:data:`.linalg.work`), and the report's work
+    counts are read from it; the previous ledger is back in place when
+    the run ends, by a raising callback too.
     """
     t0 = time.perf_counter()
     x = np.array(x0, dtype=np.float64, copy=True).reshape(-1)
@@ -310,10 +317,8 @@ def _drive(
         callback(0, x)
 
     k = 0
-    stalled_inner = 0
-    factorizations_before = linalg.factorization_count
-    probe_before = probe_iteration_count
-    retries_before = inner_retry_count
+    ledger = linalg.Work()
+    token = linalg.work.set(ledger)
     try:
         step = make_step(p, cfg)
         while True:
@@ -338,7 +343,9 @@ def _drive(
     except SingularMatrixError:
         status = SolveStatus.SINGULAR_SYSTEM
     except _Stop as stop:
-        status, stalled_inner = stop.status, stop.inner
+        status = stop.status
+    finally:
+        linalg.work.reset(token)
 
     return SolveReport(
         status=status,
@@ -347,10 +354,9 @@ def _drive(
         residual_history=res_hist,
         iterate_norm_history=xnorm_hist,
         inner_iteration_history=inner_hist,
-        inner_iteration_total=(sum(inner_hist) + stalled_inner
-                               + probe_iteration_count - probe_before),
-        inner_retries=inner_retry_count - retries_before,
-        factorizations=linalg.factorization_count - factorizations_before,
+        inner_iteration_total=ledger.lsqr_iterations,
+        inner_retries=ledger.retries,
+        factorizations=ledger.factorizations,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -578,16 +584,14 @@ def deflation_seed(p: AveProblem) -> DeflationSeed:
     side; each pass runs deflated by the space the passes before it
     harvested.  A pass's residual drop is the last over the first
     ``phibar`` of its trace, so the gain costs no product.  Its LSQR
-    iterations are added to :data:`probe_iteration_count`.
+    iterations count in the ledger of the run that computes the seed.
     """
-    global probe_iteration_count
     space = Deflation(p.A)
     rhs = np.random.default_rng(0).standard_normal(p.n)
     start = np.zeros(p.n)
     drops = []
     for _ in range(SEED_PASSES):
         _, res = space.solve(rhs, start, 0.0, DEFLATION_BASIS)
-        probe_iteration_count += res.iterations
         drops.append(res.trace[-1][1] / res.trace[0][1])
     for a in (space.Y, space.W):
         a.flags.writeable = False
@@ -639,15 +643,15 @@ def _solve_to_criterion(
     residual without a single LSQR iteration spent on them, and one retry
     removes them.  ``MaxIter`` and ``Breakdown`` stops are retried; once
     ``INNER_RETRY_LIMIT`` retries are spent the run ends as
-    ``INNER_SOLVER_STALLED``, carrying the iterations of every attempt.
-    Every attempt after the first adds one to :data:`inner_retry_count`.
+    ``INNER_SOLVER_STALLED``.  Every attempt after the first is one retry
+    in the running solve's ledger (:data:`.linalg.work`); LSQR counts the
+    iterations of every attempt there, those of a stalled step included.
     """
-    global inner_retry_count
     inner_total = 0
     x_warm = x_start
     for attempt in range(INNER_RETRY_LIMIT + 1):
         if attempt > 0:
-            inner_retry_count += 1
+            linalg.work.get().retries += 1
         cand, res = space.solve(rhs, x_warm, target, max_inner)
         inner_total += res.iterations
         if accepts(cand):
@@ -657,7 +661,7 @@ def _solve_to_criterion(
             return cand, inner_total
         x_warm = cand
         target *= 0.5
-    raise _Stop(SolveStatus.INNER_SOLVER_STALLED, inner_total)
+    raise _Stop(SolveStatus.INNER_SOLVER_STALLED)
 
 
 def _drs_inexact(p: AveProblem, cfg: SolverConfig):
@@ -783,10 +787,17 @@ def _newton_inexact(p: AveProblem, cfg: SolverConfig):
     ``2 DEFLATION_K`` iterations short of its target, and adopts it if its
     gain exceeds ``SEED_GAIN_GATE``; from then on every new pattern starts
     deflated by the seed rebased onto its matrix.  The run never writes
-    to the seed.  A run that stopped at ``Roundoff`` has gone
-    as far as double precision takes that system, so an unconverged step
-    with its pattern ends the solve as ``STAGNATED``.  An undefined
-    derived ``theta`` ends it as ``THETA_UNDEFINED``.
+    to the seed.  An unconverged step with the previous step's pattern
+    ends the solve as ``STAGNATED`` when that pattern's run stopped at
+    ``Roundoff``, as far as double precision takes the system, or when
+    ``||e(x^k)||`` is not below the previous step's ``||e||``.  With the
+    pattern unchanged, ``e(x^k)`` is bit for bit the linear residual the
+    check measured, and an accepted candidate has
+    ``||e|| <= theta ||e_prev|| < ||e_prev||``: the second rule fires only
+    after a candidate taken on LSQR's word alone that gained nothing,
+    where a run asked for ``epsilon`` below the roundoff floor would
+    otherwise freeze for ``max_iter`` steps.  An undefined derived
+    ``theta`` ends it as ``THETA_UNDEFINED``.
     """
     theta = resolve_newton_theta(p, cfg)
     if theta is None:
@@ -795,16 +806,18 @@ def _newton_inexact(p: AveProblem, cfg: SolverConfig):
         return _newton_exact(p, cfg)
     max_inner = _inner_cap(p, cfg)
     space = None
+    en_prev = math.inf
 
     def step(x, k, e, en):
-        nonlocal space
+        nonlocal space, en_prev
         s = sign_diag(x)
         if space is None:
             space = Deflation(p.A, seed=_seed_of(p), shift=s)
         elif not np.array_equal(s, space.shift):
             space.retarget(s)
-        elif space.exhausted:
+        elif space.exhausted or en >= en_prev:
             raise _Stop(SolveStatus.STAGNATED)
+        en_prev = en
         bound = theta * en
 
         def accepts(cand: np.ndarray) -> bool:

@@ -418,13 +418,13 @@ class TestDeflation:
 
 def final_run(p, x0, method="inexact-drs", epsilon=1e-6):
     """A run of ``p`` from ``x0``: the report, the SHA-256 of the final
-    iterate's bytes, and the probe iterations spent during the run."""
+    iterate's bytes, and the probe iterations spent during the run, the
+    LSQR iterations that produced no iterate."""
     xs = []
-    before = solvers.probe_iteration_count
     rep = run_solver(method, p, SolverConfig(epsilon=epsilon), x0=x0,
                      callback=lambda k, x: xs.append(x))
     digest = hashlib.sha256(xs[-1].tobytes()).hexdigest()
-    return rep, digest, solvers.probe_iteration_count - before
+    return rep, digest, rep.inner_iteration_total - sum(rep.inner_iteration_history)
 
 
 def kept_seed(p):
@@ -451,6 +451,58 @@ class TestInnerRetries:
         assert rep.iterations == 1
         assert rep.inner_iteration_history == [0, 2]
         assert rep.inner_retries == 1
+
+
+def report_counts(rep):
+    """Everything a report holds but its wall time."""
+    return replace(rep, wall_time=0.0)
+
+
+class TestWorkLedger:
+    """A report counts its own run's work, and no other run's."""
+
+    def test_nested_runs_leave_the_outer_report_alone(self):
+        p = small_random_problem(0, n=60, target=3.5)
+        # Two copies of one problem, so that each is solved cold; the
+        # generator's own LU is not a run's work.
+        copies = [newton_seed_problem() for _ in range(2)]
+        nested = []
+
+        def cold_runs():
+            q = copies.pop()
+            return [run_solver("newton", q, SolverConfig(), seed=0),
+                    run_solver("inexact-drs", q, SolverConfig(epsilon=1e-6), seed=0)]
+
+        def callback(k, x):
+            if k == 1:
+                nested.extend(cold_runs())
+
+        clear_factorization()
+        outer = run_solver("drs", p, SolverConfig(), seed=0, callback=callback)
+        clear_factorization()
+        alone = run_solver("drs", p, SolverConfig(), seed=0)
+        assert report_counts(outer) == report_counts(alone)
+        assert (outer.factorizations, outer.inner_iteration_total) == (1, 0)
+        # Each nested run counts what the same run counts at top level.
+        newton, inexact = nested
+        assert newton.factorizations == newton.iterations
+        probe = solvers.SEED_PASSES * solvers.DEFLATION_BASIS
+        assert inexact.inner_iteration_total == sum(inexact.inner_iteration_history) + probe
+        assert list(map(report_counts, nested)) == list(map(report_counts, cold_runs()))
+
+    def test_a_raising_callback_restores_the_default_ledger(self):
+        default = linalg.work.get()
+        p = small_random_problem(10, n=60, target=3.2)
+
+        def callback(k, x):
+            if k == 2:
+                raise RuntimeError("stop here")
+
+        with pytest.raises(RuntimeError, match="stop here"):
+            run_solver("newton", p, SolverConfig(), seed=11, callback=callback)
+        assert linalg.work.get() is default
+        rep = run_solver("drs", gen_tridiag8(4), x0=np.zeros(4))
+        assert (rep.factorizations, rep.inner_iteration_total, rep.inner_retries) == (1, 0, 0)
 
 
 class TestDeflationSeed:
@@ -967,6 +1019,19 @@ class TestNewton:
         assert rep.status is SolveStatus.STAGNATED
         assert rep.iterations <= 10
         assert rep.inner_iteration_total <= 10 * 40
+
+    def test_inexact_stagnates_on_a_step_that_gains_nothing(self):
+        # epsilon below the floor eps (||A|| ||x|| + ||b||), about 2e-9: the
+        # pattern's resumed run stops at ResidualTol at once and the iterate
+        # freezes with no Roundoff stop, where a run without the rule on
+        # ||e|| spends its 1000 steps.
+        p = gen_random_sparse(GeneratorSpec(family="random", n=200, sigma_min_target=3.5))
+        rep = run_solver("inexact-newton", p, SolverConfig(epsilon=1e-10, theta=0.1),
+                         x0=gen_x0(200, 0))
+        assert rep.status is SolveStatus.STAGNATED
+        assert rep.iterations <= 20
+        assert rep.inner_iteration_total <= 10 * 200
+        assert rep.residual_history[-1] >= rep.residual_history[-2]
 
     def test_unchanged_pattern_steps_resume_the_run(self):
         p = gen_random_sparse(
